@@ -7,7 +7,6 @@
 #include <iostream>
 #include <vector>
 
-#include "baselines/ganns_engine.hpp"
 #include "baselines/static_engine.hpp"
 #include "bench_common.hpp"
 #include "core/engine.hpp"
@@ -85,10 +84,10 @@ int main() {
                     rep.summary.mean_service_us});
   }
   {
-    baselines::GannsConfig cfg;
+    baselines::StaticConfig cfg;
     cfg.search.candidate_len = kList;
     cfg.batch_size = 512;
-    baselines::GannsEngine engine(ds, g, cfg);
+    baselines::StaticBatchEngine engine(ds, g, baselines::ganns_preset(cfg));
     const auto rep = engine.run_closed_loop(nq);
     rows.push_back({"GANNS-large-batch", 512, rep.summary.throughput_qps,
                     rep.summary.mean_service_us});

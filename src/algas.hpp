@@ -8,9 +8,8 @@
 // programs. Individual module headers remain includable on their own.
 #pragma once
 
-#include "baselines/ganns_engine.hpp"   // GANNS-style baseline
 #include "baselines/ivf.hpp"            // IVF-Flat baseline
-#include "baselines/static_engine.hpp"  // CAGRA-style baseline
+#include "baselines/static_engine.hpp"  // CAGRA- and GANNS-style baselines
 #include "core/engine.hpp"              // AlgasEngine
 #include "core/mutable_index.hpp"       // streaming insert/delete/compact
 #include "core/serving_engine.hpp"      // open-loop arrivals + deadlines

@@ -9,6 +9,7 @@
 #include "common/thread_pool.hpp"
 #include "distance/kernels.hpp"
 #include "metrics/recall.hpp"
+#include "simgpu/wave_schedule.hpp"
 
 namespace algas::baselines {
 
@@ -210,7 +211,7 @@ IvfEngine::IvfEngine(const Dataset& ds, IvfConfig cfg, IvfIndex index)
   layout.expand_entries = 0;
   layout.dim = ds.dim();
   layout.elem_bytes = ds.elem_bytes();
-  capacity_ = device_capacity(cfg_.device, layout, 1024);
+  capacity_ = sim::device_capacity(cfg_.device, layout, 1024);
   if (capacity_ == 0) capacity_ = 1;
 }
 
@@ -229,7 +230,7 @@ core::EngineReport IvfEngine::run_closed_loop(std::size_t num_queries) {
                                sim::Xfer::kBulk);
     const double kernel_start = cursor;
 
-    std::vector<CtaTask> tasks;
+    std::vector<sim::CtaTask> tasks;
     std::vector<IvfIndex::SearchOut> outs;
     outs.reserve(batch_n);
     for (std::size_t b = 0; b < batch_n; ++b) {
@@ -244,7 +245,7 @@ core::EngineReport IvfEngine::run_closed_loop(std::size_t num_queries) {
       tasks.push_back({b, dur});
       outs.push_back(std::move(out));
     }
-    const BatchTiming timing = wave_schedule(
+    const sim::BatchTiming timing = sim::wave_schedule(
         tasks, batch_n, capacity_, std::vector<double>(batch_n, 0.0));
     collector.add_batch_idle(timing.idle_ns, timing.active_ns);
     const double gpu_end = kernel_start + timing.gpu_end_ns;
@@ -278,16 +279,7 @@ core::EngineReport IvfEngine::run_closed_loop(std::size_t num_queries) {
   rep.plan.ok = true;
   rep.plan.n_parallel = 1;
   rep.plan.reason = "IVF-Flat baseline";
-  if (ds_.has_ground_truth()) {
-    double total_recall = 0.0;
-    for (const auto& r : collector.records()) {
-      total_recall +=
-          metrics::recall_at_k(ds_, r.query_index, r.results, cfg_.topk);
-    }
-    rep.recall = collector.size() == 0
-                     ? 0.0
-                     : total_recall / static_cast<double>(collector.size());
-  }
+  rep.recall = metrics::mean_served_recall(ds_, collector, cfg_.topk);
   rep.collector = std::move(collector);
   return rep;
 }

@@ -6,10 +6,11 @@
 #include <cstdint>
 #include <vector>
 
-#include "baselines/batch_runner.hpp"
 #include "core/engine.hpp"
 #include "dataset/dataset.hpp"
 #include "search/kv.hpp"
+#include "simgpu/cost_model.hpp"
+#include "simgpu/device_props.hpp"
 
 namespace algas::baselines {
 

@@ -8,8 +8,18 @@
 #include "search/multi_cta.hpp"
 #include "simgpu/channel.hpp"
 #include "simgpu/trace.hpp"
+#include "simgpu/wave_schedule.hpp"
 
 namespace algas::baselines {
+
+StaticConfig ganns_preset(StaticConfig cfg) {
+  cfg.search.beam_width = 1;  // strictly greedy maintenance, no beam extend
+  cfg.search.full_sort_maintenance = true;  // heavier per-round upkeep
+  cfg.n_parallel = 1;  // no multi-CTA implementation
+  cfg.merge = MergeMode::kNone;
+  cfg.trace_label = "ganns";
+  return cfg;
+}
 
 StaticBatchEngine::StaticBatchEngine(const Dataset& ds, const Graph& g,
                                      StaticConfig cfg)
@@ -27,7 +37,7 @@ StaticBatchEngine::StaticBatchEngine(const Dataset& ds, const Graph& g,
   layout.dim = ds.dim();
   layout.elem_bytes = ds.elem_bytes();
   const std::size_t reserved = core::auto_reserved_bytes(ds.dim());
-  capacity_ = device_capacity(cfg_.device, layout, reserved);
+  capacity_ = sim::device_capacity(cfg_.device, layout, reserved);
   if (capacity_ == 0) {
     throw std::invalid_argument(
         "search configuration exceeds device shared memory");
@@ -47,11 +57,8 @@ StaticBatchEngine::StaticBatchEngine(const Dataset& ds, const Graph& g,
 
 core::EngineReport StaticBatchEngine::run_closed_loop(
     std::size_t num_queries) {
-  num_queries = std::min(num_queries, ds_.num_queries());
-  std::vector<core::PendingQuery> arrivals;
-  arrivals.reserve(num_queries);
-  for (std::size_t i = 0; i < num_queries; ++i) arrivals.push_back({i, 0.0});
-  return run(arrivals);
+  return run(core::closed_loop_arrivals(
+      std::min(num_queries, ds_.num_queries())));
 }
 
 core::EngineReport StaticBatchEngine::run(
@@ -101,7 +108,7 @@ core::EngineReport StaticBatchEngine::run(
     const double kernel_start = cursor;
 
     // Functional searches + per-CTA durations for the wave schedule.
-    std::vector<CtaTask> tasks;
+    std::vector<sim::CtaTask> tasks;
     tasks.reserve(batch_n * n_parallel_);
     std::vector<double> merge_ns(batch_n, 0.0);
     std::vector<search::MultiCtaResult> results;
@@ -126,8 +133,8 @@ core::EngineReport StaticBatchEngine::run(
       results.push_back(std::move(res));
     }
 
-    const BatchTiming timing =
-        wave_schedule(tasks, batch_n, capacity_, merge_ns);
+    const sim::BatchTiming timing =
+        sim::wave_schedule(tasks, batch_n, capacity_, merge_ns);
     collector.add_batch_idle(timing.idle_ns, timing.active_ns);
     const double gpu_end = kernel_start + timing.gpu_end_ns;
 
@@ -208,16 +215,7 @@ core::EngineReport StaticBatchEngine::run(
   rep.plan.threads_per_block = cfg_.device.warp_size;
   rep.plan.reason = "static baseline (capacity " + std::to_string(capacity_) +
                     " blocks)";
-  if (ds_.has_ground_truth()) {
-    double total_recall = 0.0;
-    for (const auto& r : collector.records()) {
-      total_recall += metrics::recall_at_k(ds_, r.query_index, r.results,
-                                           cfg_.search.topk);
-    }
-    rep.recall = collector.size() == 0
-                     ? 0.0
-                     : total_recall / static_cast<double>(collector.size());
-  }
+  rep.recall = metrics::mean_served_recall(ds_, collector, cfg_.search.topk);
   rep.collector = std::move(collector);
   return rep;
 }

@@ -6,17 +6,18 @@
 // bulk, and — crucially — every query returns only when the whole batch
 // finishes (static batching, Fig 4 top). With n_parallel=1 and merge
 // disabled this engine is also the GANNS-style single-CTA baseline (see
-// ganns_engine.hpp).
+// ganns_preset).
 #pragma once
 
 #include <cstdint>
 #include <string>
 
-#include "baselines/batch_runner.hpp"
 #include "core/engine.hpp"
 #include "dataset/dataset.hpp"
 #include "graph/graph.hpp"
 #include "search/intra_cta.hpp"
+#include "simgpu/cost_model.hpp"
+#include "simgpu/device_props.hpp"
 
 namespace algas::baselines {
 
@@ -39,9 +40,16 @@ struct StaticConfig {
   /// default tracer; null there too means untraced. Pure observer — tracing
   /// never changes timing or the report.
   sim::Tracer* tracer = nullptr;
-  /// Trace process label (GannsEngine substitutes its own).
+  /// Trace process label (ganns_preset substitutes its own).
   std::string trace_label = "static-batch";
 };
+
+/// GANNS-style baseline [Yu et al., ICDE'22], modified as in the paper's
+/// §VI to dispatch small batches: `cfg` with one CTA per query (GANNS has
+/// no multi-CTA mode), strictly greedy full-sort maintenance every
+/// iteration and no TopK merge, traced as "ganns". The search shape, batch
+/// size, device, cost model, seed and tracer carry over from `cfg`.
+StaticConfig ganns_preset(StaticConfig cfg);
 
 class StaticBatchEngine {
  public:

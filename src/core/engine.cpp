@@ -192,9 +192,10 @@ struct RunState {
   /// Orchestrator completion sink (RunAttach::deliver); empty = records go
   /// to this run's own collector.
   std::function<void(metrics::QueryRecord&&)> deliver;
-  // Run-wide counters: each has exactly one writing actor class, so the
-  // totals are exact without any aggregation step.
-  std::size_t delivered ALGAS_OWNED_BY(HostWorker, AdmissionActor) = 0;
+  // Run-wide counters: each has exactly one writer, so the totals are
+  // exact without any aggregation step. `delivered` is written only by
+  // emit(), the record sink HostWorker and AdmissionActor share.
+  std::size_t delivered ALGAS_OWNED_BY(RunState) = 0;
   std::uint64_t interrupts ALGAS_OWNED_BY(CtaActor) = 0;
   std::uint64_t worker_steps ALGAS_OWNED_BY(HostWorker) = 0;
   double worker_busy_ns ALGAS_OWNED_BY(HostWorker) = 0.0;
@@ -204,6 +205,18 @@ struct RunState {
   /// through the actor at their arrival instants instead of being
   /// pre-loaded, so workload exhaustion must also wait for it.
   AdmissionActor* admission = nullptr;
+
+  /// Hands a finished record (served, shed or evicted) to `deliver` if set,
+  /// else to this run's collector, and counts it: every arrival passes
+  /// here exactly once.
+  void emit(metrics::QueryRecord&& rec) {
+    if (deliver) {
+      deliver(std::move(rec));
+    } else {
+      collector.add(std::move(rec));
+    }
+    ++delivered;
+  }
 
   bool workload_exhausted() const;
   /// Earliest instant new work can appear: the queue's next arrival or the
@@ -237,12 +250,7 @@ class AdmissionActor final : public sim::Actor {
         // instant the admission decision was made.
         metrics::QueryRecord rec =
             shed_record(*victim, sim.now(), metrics::Disposition::kShedQueue);
-        if (run_.deliver) {
-          run_.deliver(std::move(rec));
-        } else {
-          run_.collector.add(std::move(rec));
-        }
-        ++run_.delivered;
+        run_.emit(std::move(rec));
       }
     }
     if (cursor_ < arrivals_.size()) {
@@ -463,14 +471,9 @@ void HostWorker::fetch_and_complete(sim::Simulation& sim, std::size_t slot,
   rec.gpu_cost = rt.gpu_cost;
   rec.results = std::move(topk);
   const SimTime done_ns = rec.done_ns;
-  if (run_.deliver) {
-    // Sharded path: the gather stage owns completion. Result ids are still
-    // shard-local here; the sink is responsible for the global mapping.
-    run_.deliver(std::move(rec));
-  } else {
-    run_.collector.add(std::move(rec));
-  }
-  ++run_.delivered;
+  // Under a sharded orchestrator the result ids are still shard-local here;
+  // its sink (RunAttach::deliver) maps them to global ids.
+  run_.emit(std::move(rec));
   --run_.in_flight;
   rt.busy = false;
   if (run_.trace.tracer) {
@@ -499,12 +502,7 @@ void HostWorker::deliver_shed(sim::Simulation& sim, const PendingQuery& q,
   *elapsed += run_.cfg.cost.host_shed_ns;
   metrics::QueryRecord rec = shed_record(q, sim.now() + *elapsed,
                                          metrics::Disposition::kShedDeadline);
-  if (run_.deliver) {
-    run_.deliver(std::move(rec));
-  } else {
-    run_.collector.add(std::move(rec));
-  }
-  ++run_.delivered;
+  run_.emit(std::move(rec));
   if (run_.trace.tracer) {
     run_.trace.tracer->counter(run_.trace.pid, "delivered",
                                sim.now() + *elapsed,
@@ -543,12 +541,7 @@ void HostWorker::evict_expired(sim::Simulation& sim, std::size_t slot,
   rec.scored_points = rt.scored;
   rec.gpu_cost = rt.gpu_cost;
   const SimTime done_ns = rec.done_ns;
-  if (run_.deliver) {
-    run_.deliver(std::move(rec));
-  } else {
-    run_.collector.add(std::move(rec));
-  }
-  ++run_.delivered;
+  run_.emit(std::move(rec));
   --run_.in_flight;
   rt.busy = false;
   if (run_.trace.tracer) {
@@ -726,13 +719,7 @@ AlgasEngine::AlgasEngine(const Dataset& ds, const Graph& g, AlgasConfig cfg)
 }
 
 EngineReport AlgasEngine::run_closed_loop(std::size_t num_queries) {
-  num_queries = std::min(num_queries, ds_.num_queries());
-  std::vector<PendingQuery> arrivals;
-  arrivals.reserve(num_queries);
-  for (std::size_t i = 0; i < num_queries; ++i) {
-    arrivals.push_back({i, 0.0});
-  }
-  return run(arrivals);
+  return run(closed_loop_arrivals(std::min(num_queries, ds_.num_queries())));
 }
 
 /// The wiring formerly inlined in AlgasEngine::run(), held alive between
@@ -930,21 +917,8 @@ struct EngineRun::Impl {
           busy / (span * static_cast<double>(run->ctas.size()));
     }
 
-    if (ds.has_ground_truth()) {
-      // Recall is a statement about delivered answers, so it averages over
-      // SERVED records only: a shed/evicted query returned nothing and
-      // shows up in shed_rate/goodput instead of dragging recall to zero.
-      double total_recall = 0.0;
-      std::size_t served = 0;
-      for (const auto& r : run->collector.records()) {
-        if (!r.served()) continue;
-        ++served;
-        total_recall += metrics::recall_at_k(ds, r.query_index, r.results,
-                                             cfg.search.topk);
-      }
-      rep.recall =
-          served == 0 ? 0.0 : total_recall / static_cast<double>(served);
-    }
+    rep.recall =
+        metrics::mean_served_recall(ds, run->collector, cfg.search.topk);
     rep.collector = std::move(run->collector);
     return rep;
   }

@@ -6,8 +6,8 @@
 #include <stdexcept>
 
 #include "common/thread_pool.hpp"
-#include "graph/gpu_construction.hpp"
 #include "graph/neighbor_selection.hpp"
+#include "graph/nsw_builder.hpp"
 
 namespace algas::core {
 
@@ -92,45 +92,11 @@ StagedBatch MutableIndex::prepare_next(std::size_t max_rows) {
   b.prepared = true;
   if (b.count == 0) return b;
 
-  // Identical phase-1 schedule to build_nsw: when every row is staged up
-  // front, ef and the batch boundaries match the offline build exactly,
-  // which is what makes stream-from-empty byte-identical to it.
-  const std::size_t n = ds_.num_base();
-  const std::size_t m = std::min(cfg_.degree, n - 1);
-  const std::size_t ef = std::max(cfg_.ef_construction, m);
-  const std::size_t begin = b.first;
+  // The offline builder's phase 1: when every row is staged up front, ef
+  // and the batch boundaries match build_nsw exactly, which is what makes
+  // stream-from-empty byte-identical to it.
   BuildExecutor exec(cfg_.threads);
-  if (begin == 0) {
-    // Bootstrap batch: no prefix graph exists; points score each other
-    // exhaustively, exactly like the offline builder's first batch.
-    if (b.count > 1) {
-      exec.parallel_for(b.count - 1, [&](std::size_t lo, std::size_t hi) {
-        std::vector<float> tile;
-        for (std::size_t v = lo + 1; v < hi + 1; ++v) {
-          auto& list = b.found[v];
-          tile.resize(v);
-          ds_.distance_batch_range(ds_.base_vector(v), 0, v, tile);
-          list.reserve(v);
-          for (std::size_t u = 0; u < v; ++u) {
-            list.emplace_back(tile[u], static_cast<NodeId>(u));
-          }
-          std::sort(list.begin(), list.end());
-          if (list.size() > cfg_.ef_construction) {
-            list.resize(cfg_.ef_construction);
-          }
-          b.scored[v] = v;
-        }
-      });
-    }
-  } else {
-    exec.parallel_for(b.count, [&](std::size_t lo, std::size_t hi) {
-      for (std::size_t i = lo; i < hi; ++i) {
-        const std::size_t v = begin + i;
-        b.found[i] = build_beam_search(ds_, graph_, ds_.base_vector(v), ef, 0,
-                                       begin, &b.scored[i]);
-      }
-    });
-  }
+  search_insert_batch(ds_, graph_, cfg_, exec, b.first, b.found, b.scored);
   return b;
 }
 
@@ -150,56 +116,23 @@ InsertReport MutableIndex::apply(StagedBatch& batch) {
     throw std::logic_error(
         "MutableIndex::apply: batch extends past the staged rows");
   }
-  InsertReport rep = link_batch(batch);
   batch.prepared = false;  // consumed
-  return rep;
-}
-
-InsertReport MutableIndex::link_batch(const StagedBatch& batch) {
   InsertReport rep;
   rep.inserted = batch.count;
   if (batch.count == 0) return rep;
-  const std::size_t begin = batch.first;
-  const std::size_t end = batch.first + batch.count;
   graph_.grow(batch.count);
   tombstones_.resize(graph_.num_nodes());
 
-  // Serial accounting in insertion-id order, as in the offline builder.
-  std::vector<double> durations;
-  durations.reserve(batch.count);
-  for (std::size_t i = (begin == 0 ? 1 : 0); i < batch.count; ++i) {
-    rep.scored_points += batch.scored[i];
-    durations.push_back(
-        construction_insert_cost_ns(cfg_, ds_.dim(), batch.scored[i]));
-  }
-
-  // Phase 2 — links applied serially in insertion-id order: the published
-  // graph is a deterministic fold over the batch, independent of the
-  // thread count phase 1 ran at and of any queries served in between.
-  std::vector<NodeId> row_ids;
-  std::vector<float> row_dists;
-  std::vector<std::pair<float, NodeId>> candidates;
-  for (std::size_t v = std::max<std::size_t>(begin, 1); v < end; ++v) {
-    candidates = batch.found[v - begin];
-    if (candidates.empty()) continue;
-    select_neighbors(ds_, graph_, static_cast<NodeId>(v), candidates);
-    row_ids.clear();
-    for (NodeId u : graph_.neighbors(static_cast<NodeId>(v))) {
-      if (u != kInvalidNode) row_ids.push_back(u);
-    }
-    row_dists.resize(row_ids.size());
-    ds_.distance_batch(ds_.base_vector(v), row_ids, row_dists);
-    for (std::size_t i = 0; i < row_ids.size(); ++i) {
-      link(ds_, graph_, row_ids[i], static_cast<NodeId>(v), row_dists[i]);
-    }
-  }
-
-  const std::size_t capacity = construction_capacity(cfg_, ds_.dim());
-  rep.virtual_build_ns = cfg_.cost.kernel_launch_ns +
-                         construction_wave_makespan(durations, capacity);
-  for (double d : durations) rep.serial_build_ns += d;
-  rep.serial_build_ns += cfg_.cost.kernel_launch_ns;
-  rep.batches = 1;
+  // The offline builder's phase 2: the published graph is a deterministic
+  // fold over the batch, independent of the thread count phase 1 ran at
+  // and of any queries served in between.
+  InsertCost cost;
+  link_insert_batch(ds_, graph_, cfg_, batch.first, batch.found, batch.scored,
+                    cost);
+  rep.batches = cost.batches;
+  rep.scored_points = cost.scored_points;
+  rep.virtual_build_ns = cost.virtual_build_ns;
+  rep.serial_build_ns = cost.serial_build_ns + cfg_.cost.kernel_launch_ns;
 
   // Publish: the entry point recomputes over the published prefix only —
   // staged-but-unlinked rows must never become the entry.

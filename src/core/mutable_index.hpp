@@ -50,6 +50,7 @@
 #include "dataset/dataset.hpp"
 #include "graph/builder.hpp"
 #include "graph/graph.hpp"
+#include "graph/nsw_builder.hpp"
 #include "graph/tombstones.hpp"
 
 namespace algas::core {
@@ -108,7 +109,7 @@ class WriteSection {
 struct StagedBatch {
   std::size_t first = 0;
   std::size_t count = 0;
-  std::vector<std::vector<std::pair<float, NodeId>>> found;
+  InsertCandidates found;
   std::vector<std::size_t> scored;
   bool prepared = false;
 };
@@ -208,7 +209,6 @@ class MutableIndex {
 
  private:
   static Dataset require_empty(Dataset ds);
-  InsertReport link_batch(const StagedBatch& batch);
 
   /// Published state: written only inside WriteSection-guarded members of
   /// this class (the static owner list matching MutationChecker's dynamic

@@ -16,6 +16,13 @@ std::size_t clamp_class(std::uint8_t priority) {
 }
 }  // namespace
 
+std::vector<PendingQuery> closed_loop_arrivals(std::size_t num_queries) {
+  std::vector<PendingQuery> arrivals;
+  arrivals.reserve(num_queries);
+  for (std::size_t i = 0; i < num_queries; ++i) arrivals.push_back({i, 0.0});
+  return arrivals;
+}
+
 const char* shed_policy_name(ShedPolicy p) {
   switch (p) {
     case ShedPolicy::kRejectNew: return "reject-new";

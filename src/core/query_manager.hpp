@@ -20,6 +20,7 @@
 #include <deque>
 #include <limits>
 #include <optional>
+#include <vector>
 
 #include "common/ownership.hpp"
 #include "common/types.hpp"
@@ -48,6 +49,10 @@ struct PendingQuery {
   /// Priority class (clamped to kPriorityClasses - 1; higher pops first).
   std::uint8_t priority = 0;
 };
+
+/// The closed-loop workload every engine's run_closed_loop() serves: queries
+/// [0, num_queries) all arriving at t = 0, no deadline, best-effort class.
+std::vector<PendingQuery> closed_loop_arrivals(std::size_t num_queries);
 
 /// What happens when admit() finds the bounded queue full.
 enum class ShedPolicy : std::uint8_t {

@@ -270,11 +270,7 @@ std::vector<std::size_t> ShardedEngine::route(std::size_t query_index) const {
 }
 
 ShardedReport ShardedEngine::run_closed_loop(std::size_t num_queries) {
-  num_queries = std::min(num_queries, ds_.num_queries());
-  std::vector<PendingQuery> arrivals;
-  arrivals.reserve(num_queries);
-  for (std::size_t i = 0; i < num_queries; ++i) arrivals.push_back({i, 0.0});
-  return run(arrivals);
+  return run(closed_loop_arrivals(std::min(num_queries, ds_.num_queries())));
 }
 
 ShardedReport ShardedEngine::run(const std::vector<PendingQuery>& arrivals) {
@@ -288,18 +284,8 @@ ShardedReport ShardedEngine::run(const std::vector<PendingQuery>& arrivals) {
     // The shard dataset dropped the ground truth (global ids are only
     // meaningful here, where shard0 IS the full range) — rescore recall
     // against the original dataset.
-    if (ds_.has_ground_truth()) {
-      double total_recall = 0.0;
-      std::size_t served = 0;
-      for (const auto& r : rep.merged.collector.records()) {
-        if (!r.served()) continue;
-        ++served;
-        total_recall += metrics::recall_at_k(ds_, r.query_index, r.results,
-                                             cfg_.base.search.topk);
-      }
-      rep.merged.recall =
-          served == 0 ? 0.0 : total_recall / static_cast<double>(served);
-    }
+    rep.merged.recall = metrics::mean_served_recall(
+        ds_, rep.merged.collector, cfg_.base.search.topk);
     rep.shards.push_back(rep.merged);
     rep.shard_records.merge(rep.merged.collector);
     rep.mean_fanout = 1.0;
@@ -435,18 +421,8 @@ ShardedReport ShardedEngine::run(const std::vector<PendingQuery>& arrivals) {
         m.cta_busy_ns /
         (m.summary.span_ns * static_cast<double>(m.cta_count));
   }
-  if (ds_.has_ground_truth()) {
-    double total_recall = 0.0;
-    std::size_t served = 0;
-    for (const auto& r : merged_collector.records()) {
-      if (!r.served()) continue;
-      ++served;
-      total_recall += metrics::recall_at_k(ds_, r.query_index, r.results,
-                                           cfg_.base.search.topk);
-    }
-    m.recall = served == 0 ? 0.0
-                           : total_recall / static_cast<double>(served);
-  }
+  m.recall = metrics::mean_served_recall(ds_, merged_collector,
+                                        cfg_.base.search.topk);
   m.collector = std::move(merged_collector);
   m.trace_events =
       tracer != nullptr ? tracer->events_recorded() - trace_before : 0;

@@ -1,43 +1,8 @@
 #include "graph/gpu_construction.hpp"
 
 #include <algorithm>
-#include <queue>
-#include <vector>
-
-#include "graph/nsw_builder.hpp"
-#include "simgpu/shared_memory.hpp"
 
 namespace algas {
-
-double construction_wave_makespan(const std::vector<double>& durations,
-                                  std::size_t capacity) {
-  std::priority_queue<double, std::vector<double>, std::greater<double>>
-      servers;
-  for (std::size_t i = 0; i < capacity; ++i) servers.push(0.0);
-  double end = 0.0;
-  for (double d : durations) {
-    const double free_at = servers.top();
-    servers.pop();
-    servers.push(free_at + d);
-    end = std::max(end, free_at + d);
-  }
-  return end;
-}
-
-std::size_t construction_capacity(const BuildConfig& cfg, std::size_t dim) {
-  sim::SharedMemoryLayout layout;
-  layout.candidate_entries = next_pow2(cfg.ef_construction);
-  layout.expand_entries = next_pow2(cfg.degree);
-  layout.dim = dim;
-  std::size_t best = 0;
-  for (std::size_t bpsm = 1; bpsm <= cfg.device.max_blocks_per_sm; ++bpsm) {
-    if (sim::check_occupancy(cfg.device, layout, bpsm, 1024).fits) {
-      best = bpsm;
-    }
-  }
-  return std::max<std::size_t>(
-      1, std::min(best * cfg.device.num_sms, cfg.device.full_speed_ctas()));
-}
 
 double construction_insert_cost_ns(const BuildConfig& cfg, std::size_t dim,
                                    std::size_t scored) {

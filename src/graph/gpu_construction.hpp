@@ -6,23 +6,16 @@
 // point of a batch searches the already-built prefix concurrently (one CTA
 // per insertion), then the batch's links are applied. The batched builder
 // itself lives in nsw_builder.cpp (it is the one NSW builder, host-
-// parallelized the same way); this module provides its cost model: the
-// functional output is the NSW graph, and the build *time* is a
-// virtual-time measurement of the batched schedule on the device —
-// reproducing GANNS's construction-speedup claim in-model.
+// parallelized the same way); this module provides its per-insertion cost
+// model, which the builder wave-schedules onto the device's CTA capacity
+// (simgpu/wave_schedule.hpp): the functional output is the NSW graph, and
+// the build *time* is a virtual-time measurement of the batched schedule
+// on the device — reproducing GANNS's construction-speedup claim in-model.
 #pragma once
 
 #include "graph/builder.hpp"
 
 namespace algas {
-
-/// List-scheduling makespan of `durations` on `capacity` concurrent CTAs.
-double construction_wave_makespan(const std::vector<double>& durations,
-                                  std::size_t capacity);
-
-/// Full-speed CTA capacity for a construction kernel holding an
-/// ef_construction-sized candidate list per block.
-std::size_t construction_capacity(const BuildConfig& cfg, std::size_t dim);
 
 /// Modeled cost of one insertion whose search scored `scored` points:
 /// distance work plus the candidate-list maintenance that accompanies it.

@@ -7,12 +7,53 @@
 // the graph a pure function of (dataset, config): byte-identical for any
 // thread count. insert_batch=1 degenerates to classic one-at-a-time
 // insertion.
+//
+// The two phases are exposed on their own so the streaming index
+// (core::MutableIndex) runs the very same pipeline one batch at a time:
+// phase 1 under a reader section, phase 2 under the writer.
 #pragma once
+
+#include <cstddef>
+#include <utility>
+#include <vector>
 
 #include "graph/builder.hpp"
 
 namespace algas {
 
 BuildReport build_nsw(const Dataset& ds, const BuildConfig& cfg);
+
+/// Phase-1 result lists of one insert batch, indexed by batch position.
+using InsertCandidates = std::vector<std::vector<std::pair<float, NodeId>>>;
+
+/// Modeled cost of batched insertion, accumulated batch by batch in
+/// insertion-id order (the order that fixes the floating-point sums).
+struct InsertCost {
+  std::size_t batches = 0;
+  std::size_t scored_points = 0;  ///< beam-search distance evals
+  double virtual_build_ns = 0.0;  ///< per batch: launch + wave makespan
+  /// Sum of the per-insertion costs on one CTA. Kernel launches are not
+  /// included: callers add batches * kernel_launch_ns at the end.
+  double serial_build_ns = 0.0;
+};
+
+/// Phase 1: rows [begin, begin + found.size()) each beam-search the frozen
+/// prefix [0, begin) of `g`, writing only their own found[i] / scored[i]
+/// (sized by the caller), so the result is independent of the executor's
+/// thread count. The bootstrap batch (begin == 0) has no prefix graph: its
+/// rows score each other exhaustively and row 0 stays empty.
+void search_insert_batch(const Dataset& ds, const Graph& g,
+                         const BuildConfig& cfg, BuildExecutor& exec,
+                         std::size_t begin, InsertCandidates& found,
+                         std::vector<std::size_t>& scored);
+
+/// Phase 2: link rows [begin, begin + found.size()) into `g` serially in
+/// insertion-id order (select_neighbors consumes found[i] in place), then
+/// charge the batch's modeled cost into `cost`. `g` must already cover the
+/// batch's rows.
+void link_insert_batch(const Dataset& ds, Graph& g, const BuildConfig& cfg,
+                       std::size_t begin, InsertCandidates& found,
+                       const std::vector<std::size_t>& scored,
+                       InsertCost& cost);
 
 }  // namespace algas

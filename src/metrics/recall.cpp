@@ -76,4 +76,17 @@ double mean_recall(const Dataset& ds,
   return total / static_cast<double>(results.size());
 }
 
+double mean_served_recall(const Dataset& ds, const Collector& records,
+                          std::size_t k) {
+  if (!ds.has_ground_truth()) return 0.0;
+  double total = 0.0;
+  std::size_t served = 0;
+  for (const auto& r : records.records()) {
+    if (!r.served()) continue;
+    ++served;
+    total += recall_at_k(ds, r.query_index, r.results, k);
+  }
+  return served == 0 ? 0.0 : total / static_cast<double>(served);
+}
+
 }  // namespace algas::metrics

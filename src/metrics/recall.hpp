@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "dataset/dataset.hpp"
+#include "metrics/collector.hpp"
 #include "search/kv.hpp"
 
 namespace algas::metrics {
@@ -22,6 +23,13 @@ double recall_at_k_ids(const Dataset& ds, std::size_t query_index,
 double mean_recall(const Dataset& ds,
                    const std::vector<std::vector<KV>>& results,
                    std::size_t k);
+
+/// Mean recall@k over the collector's SERVED records. Recall is a statement
+/// about delivered answers: a shed or evicted query returned nothing and
+/// shows up in shed rate / goodput instead of dragging recall to zero.
+/// 0 when the dataset has no ground truth or nothing was served.
+double mean_served_recall(const Dataset& ds, const Collector& records,
+                          std::size_t k);
 
 /// Recall against an explicit truth row (e.g. one row of
 /// compute_filtered_ground_truth) instead of the dataset's attached ground

@@ -1,10 +1,10 @@
-#include "baselines/batch_runner.hpp"
+#include "simgpu/wave_schedule.hpp"
 
 #include <algorithm>
 #include <cassert>
 #include <queue>
 
-namespace algas::baselines {
+namespace algas::sim {
 
 BatchTiming wave_schedule(const std::vector<CtaTask>& tasks,
                           std::size_t num_queries, std::size_t capacity,
@@ -45,13 +45,12 @@ BatchTiming wave_schedule(const std::vector<CtaTask>& tasks,
   return timing;
 }
 
-std::size_t device_capacity(const sim::DeviceProps& dev,
-                            const sim::SharedMemoryLayout& layout,
+std::size_t device_capacity(const DeviceProps& dev,
+                            const SharedMemoryLayout& layout,
                             std::size_t reserved_per_block) {
   std::size_t best = 0;
   for (std::size_t bpsm = 1; bpsm <= dev.max_blocks_per_sm; ++bpsm) {
-    const auto occ = sim::check_occupancy(dev, layout, bpsm,
-                                          reserved_per_block);
+    const auto occ = check_occupancy(dev, layout, bpsm, reserved_per_block);
     if (occ.fits) best = bpsm;
   }
   // Residency alone is not speed: beyond one warp per scheduler, resident
@@ -60,4 +59,4 @@ std::size_t device_capacity(const sim::DeviceProps& dev,
   return std::min(best * dev.num_sms, dev.full_speed_ctas());
 }
 
-}  // namespace algas::baselines
+}  // namespace algas::sim

@@ -1,25 +1,25 @@
-// Shared machinery for the batch-synchronous baselines (CAGRA-style,
-// GANNS-style, IVF): wave-schedule a batch's CTA workloads onto the
-// device's resident-block capacity, then account the batch barrier.
+// List scheduling of independent CTA workloads onto the device's resident-
+// block capacity — the one scheduler behind every batch-synchronous kernel
+// the simulator models: the static baselines' search batches (CAGRA-style,
+// GANNS-style, IVF) and the GANNS-style batched graph construction kernel.
 //
-// Unlike ALGAS's persistent kernel, these engines launch one kernel per
-// batch; every query's completion is gated on the batch's slowest CTA —
-// the query bubble of §III-A. The idle/active split this produces is what
-// bench_fig2 reports as the waste rate.
+// Unlike ALGAS's persistent kernel, these kernels launch once per batch;
+// every query's completion is gated on the batch's slowest CTA — the query
+// bubble of §III-A. The idle/active split this produces is what bench_fig2
+// reports as the waste rate.
 #pragma once
 
 #include <cstddef>
 #include <vector>
 
 #include "common/ownership.hpp"
-#include "simgpu/cost_model.hpp"
 #include "simgpu/device_props.hpp"
 #include "simgpu/shared_memory.hpp"
 
-namespace algas::baselines {
+namespace algas::sim {
 
 /// Tasks and timings are values: built up locally by the scheduler, then
-/// read-only once returned to the engine (the batch already happened).
+/// read-only once returned to the caller (the batch already happened).
 struct CtaTask {
   std::size_t query ALGAS_IMMUTABLE_AFTER_PUBLISH = 0;     ///< batch index
   double duration_ns ALGAS_IMMUTABLE_AFTER_PUBLISH = 0.0;  ///< modeled time
@@ -45,8 +45,8 @@ BatchTiming wave_schedule(const std::vector<CtaTask>& tasks,
 
 /// Resident-block capacity for a per-block shared memory need: the smem-
 /// and block-limit-constrained occupancy the device sustains.
-std::size_t device_capacity(const sim::DeviceProps& dev,
-                            const sim::SharedMemoryLayout& layout,
+std::size_t device_capacity(const DeviceProps& dev,
+                            const SharedMemoryLayout& layout,
                             std::size_t reserved_per_block);
 
-}  // namespace algas::baselines
+}  // namespace algas::sim

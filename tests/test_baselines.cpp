@@ -3,8 +3,6 @@
 #include <map>
 #include <set>
 
-#include "baselines/batch_runner.hpp"
-#include "baselines/ganns_engine.hpp"
 #include "baselines/ivf.hpp"
 #include "baselines/static_engine.hpp"
 #include "metrics/recall.hpp"
@@ -12,52 +10,6 @@
 
 namespace algas::baselines {
 namespace {
-
-// ---------------- batch_runner.hpp ----------------
-
-TEST(WaveSchedule, UnlimitedCapacityRunsConcurrently) {
-  std::vector<CtaTask> tasks{{0, 100.0}, {0, 50.0}, {1, 80.0}};
-  const auto t = wave_schedule(tasks, 2, 16, {0.0, 0.0});
-  EXPECT_DOUBLE_EQ(t.query_search_end[0], 100.0);
-  EXPECT_DOUBLE_EQ(t.query_search_end[1], 80.0);
-  EXPECT_DOUBLE_EQ(t.gpu_end_ns, 100.0);
-  // Idle: CTA1 waits 50, CTA2 waits 20, CTA0 waits 0.
-  EXPECT_DOUBLE_EQ(t.idle_ns, 70.0);
-  EXPECT_DOUBLE_EQ(t.active_ns, 230.0);
-}
-
-TEST(WaveSchedule, CapacityOneSerializes) {
-  std::vector<CtaTask> tasks{{0, 10.0}, {1, 10.0}, {2, 10.0}};
-  const auto t = wave_schedule(tasks, 3, 1, {0.0, 0.0, 0.0});
-  EXPECT_DOUBLE_EQ(t.query_search_end[0], 10.0);
-  EXPECT_DOUBLE_EQ(t.query_search_end[1], 20.0);
-  EXPECT_DOUBLE_EQ(t.query_search_end[2], 30.0);
-  EXPECT_DOUBLE_EQ(t.gpu_end_ns, 30.0);
-}
-
-TEST(WaveSchedule, MergeExtendsQueryCompletion) {
-  std::vector<CtaTask> tasks{{0, 10.0}, {1, 20.0}};
-  const auto t = wave_schedule(tasks, 2, 4, {5.0, 1.0});
-  EXPECT_DOUBLE_EQ(t.query_final[0], 15.0);
-  EXPECT_DOUBLE_EQ(t.query_final[1], 21.0);
-  EXPECT_DOUBLE_EQ(t.gpu_end_ns, 21.0);
-}
-
-TEST(DeviceCapacity, ShrinksWithLayout) {
-  const auto dev = sim::DeviceProps::rtx_a6000();
-  sim::SharedMemoryLayout small;
-  small.candidate_entries = 64;
-  small.dim = 128;
-  sim::SharedMemoryLayout big;
-  big.candidate_entries = 2048;
-  big.expand_entries = 2048;
-  big.dim = 960;
-  const auto cap_small = device_capacity(dev, small, 1024);
-  const auto cap_big = device_capacity(dev, big, 1024);
-  EXPECT_GT(cap_small, cap_big);
-  EXPECT_LE(cap_small, dev.max_resident_blocks());
-  EXPECT_GE(cap_big, dev.num_sms);  // at least 1 block/SM fits here
-}
 
 // ---------------- static_engine.hpp ----------------
 
@@ -149,15 +101,15 @@ TEST(StaticEngine, LargerBatchRaisesPerQueryLatency) {
   EXPECT_LT(rs.summary.mean_service_us, rl.summary.mean_service_us);
 }
 
-// ---------------- ganns_engine.hpp ----------------
+// ---------------- ganns_preset ----------------
 
 TEST(GannsEngine, SingleCtaGreedyCompletes) {
   const auto& world = algas::testing::tiny_world();
-  GannsConfig cfg;
+  StaticConfig cfg;
   cfg.search.topk = 10;
   cfg.search.candidate_len = 64;
   cfg.batch_size = 8;
-  GannsEngine engine(world.ds, world.nsw, cfg);
+  StaticBatchEngine engine(world.ds, world.nsw, ganns_preset(cfg));
   const auto rep = engine.run_closed_loop(32);
   EXPECT_EQ(rep.summary.queries, 32u);
   EXPECT_GT(rep.recall, 0.85);

@@ -72,7 +72,7 @@ void expect_same_graph(const Graph& a, const Graph& b) {
 TEST(MutableInsert, FromEmptyMatchesOfflineBuild) {
   const Dataset full = small_ds();
   const BuildConfig cfg = small_cfg();
-  const Graph offline = build_graph(GraphKind::kNsw, full, cfg).graph;
+  const BuildReport offline = build_graph(GraphKind::kNsw, full, cfg);
 
   MutableIndex idx(empty_like(full), cfg);
   const auto rep = idx.insert(full.base());
@@ -80,7 +80,13 @@ TEST(MutableInsert, FromEmptyMatchesOfflineBuild) {
   EXPECT_GT(rep.batches, 1u);
   EXPECT_EQ(idx.published(), full.num_base());
   EXPECT_EQ(idx.pending(), 0u);
-  expect_same_graph(idx.graph(), offline);
+  expect_same_graph(idx.graph(), offline.graph);
+  // Both run one insert pipeline over the same batch boundaries, so the
+  // cost model agrees too — the virtual time to the bit, since both sum the
+  // per-batch makespans in batch order from zero.
+  EXPECT_EQ(rep.batches, offline.batches);
+  EXPECT_EQ(rep.scored_points, offline.scored_points);
+  EXPECT_EQ(rep.virtual_build_ns, offline.virtual_build_ns);
 }
 
 TEST(MutableInsert, ServingBetweenPhasesChangesNothing) {

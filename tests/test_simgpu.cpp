@@ -10,8 +10,8 @@
 #include "simgpu/device_props.hpp"
 #include "simgpu/shared_memory.hpp"
 #include "simgpu/sim_group.hpp"
-#include "simgpu/sm_scheduler.hpp"
 #include "simgpu/simulation.hpp"
+#include "simgpu/wave_schedule.hpp"
 
 namespace algas::sim {
 namespace {
@@ -448,40 +448,73 @@ TEST(Channel, CountersSplitByPurpose) {
   EXPECT_EQ(ch.total().transactions, 0u);
 }
 
-// ---------------- sm_scheduler.hpp ----------------
+// ---------------- wave_schedule.hpp ----------------
 
-TEST(SmScheduler, GrantsUpToCapacity) {
-  Simulation sim;
-  SmScheduler sched(2);
-  ProbeActor a, b, c;
-  EXPECT_TRUE(sched.try_acquire(sim, &a));
-  EXPECT_TRUE(sched.try_acquire(sim, &b));
-  EXPECT_FALSE(sched.try_acquire(sim, &c));
-  EXPECT_EQ(sched.resident(), 2u);
-  EXPECT_EQ(sched.queued(), 1u);
+TEST(WaveSchedule, UnlimitedCapacityRunsConcurrently) {
+  std::vector<CtaTask> tasks{{0, 100.0}, {0, 50.0}, {1, 80.0}};
+  const auto t = wave_schedule(tasks, 2, 16, {0.0, 0.0});
+  EXPECT_DOUBLE_EQ(t.query_search_end[0], 100.0);
+  EXPECT_DOUBLE_EQ(t.query_search_end[1], 80.0);
+  EXPECT_DOUBLE_EQ(t.gpu_end_ns, 100.0);
+  // Idle: CTA1 waits 50, CTA2 waits 20, CTA0 waits 0.
+  EXPECT_DOUBLE_EQ(t.idle_ns, 70.0);
+  EXPECT_DOUBLE_EQ(t.active_ns, 230.0);
 }
 
-TEST(SmScheduler, ReleaseWakesWaiterFifo) {
-  Simulation sim;
-  SmScheduler sched(1);
-  ProbeActor a, b, c;
-  ASSERT_TRUE(sched.try_acquire(sim, &a));
-  EXPECT_FALSE(sched.try_acquire(sim, &b));
-  EXPECT_FALSE(sched.try_acquire(sim, &c));
-  sched.release(sim);  // wakes b (scheduled at now)
-  sim.run();
-  EXPECT_EQ(b.times.size(), 1u);  // b got woken
-  EXPECT_TRUE(c.times.empty());
-  EXPECT_TRUE(sched.try_acquire(sim, &b));  // b retries and wins
+TEST(WaveSchedule, CapacityOneSerializes) {
+  std::vector<CtaTask> tasks{{0, 10.0}, {1, 10.0}, {2, 10.0}};
+  const auto t = wave_schedule(tasks, 3, 1, {0.0, 0.0, 0.0});
+  EXPECT_DOUBLE_EQ(t.query_search_end[0], 10.0);
+  EXPECT_DOUBLE_EQ(t.query_search_end[1], 20.0);
+  EXPECT_DOUBLE_EQ(t.query_search_end[2], 30.0);
+  EXPECT_DOUBLE_EQ(t.gpu_end_ns, 30.0);
 }
 
-TEST(SmScheduler, DoubleEnqueueIsIdempotent) {
-  Simulation sim;
-  SmScheduler sched(0);
-  ProbeActor a;
-  EXPECT_FALSE(sched.try_acquire(sim, &a));
-  EXPECT_FALSE(sched.try_acquire(sim, &a));
-  EXPECT_EQ(sched.queued(), 1u);
+TEST(WaveSchedule, MergeExtendsQueryCompletion) {
+  std::vector<CtaTask> tasks{{0, 10.0}, {1, 20.0}};
+  const auto t = wave_schedule(tasks, 2, 4, {5.0, 1.0});
+  EXPECT_DOUBLE_EQ(t.query_final[0], 15.0);
+  EXPECT_DOUBLE_EQ(t.query_final[1], 21.0);
+  EXPECT_DOUBLE_EQ(t.gpu_end_ns, 21.0);
+}
+
+// The batched graph-construction kernel schedules one CTA per insertion
+// with no merge. These makespans are the bits the construction model's own
+// list scheduler produced for this duration list before it was folded into
+// wave_schedule; bench_construction's TSV depends on them staying exact.
+TEST(WaveSchedule, ConstructionMakespanIsBitExact) {
+  const std::vector<double> durations{
+      731.25, 0.1,  1e3 / 3, 47.7,  512.0 + 1e-9, 299.9, 0.3,
+      88.8,   1234.5678,     6.02,  33.3,         17.17, 1.0 / 7};
+  std::vector<CtaTask> tasks;
+  for (const double d : durations) tasks.push_back({tasks.size(), d});
+  const std::pair<std::size_t, double> expected[] = {
+      {1, 0x1.9d12b00ccc16cp+11},
+      {3, 0x1.d2f345c4be99cp+10},
+      {5, 0x1.56d78a0902dep+10},
+      {64, 0x1.34a456d5cfaadp+10},
+  };
+  for (const auto& [capacity, makespan] : expected) {
+    const auto t = wave_schedule(tasks, tasks.size(), capacity,
+                                 std::vector<double>(tasks.size(), 0.0));
+    EXPECT_EQ(t.gpu_end_ns, makespan) << "capacity " << capacity;
+  }
+}
+
+TEST(DeviceCapacity, ShrinksWithLayout) {
+  const auto dev = DeviceProps::rtx_a6000();
+  SharedMemoryLayout small;
+  small.candidate_entries = 64;
+  small.dim = 128;
+  SharedMemoryLayout big;
+  big.candidate_entries = 2048;
+  big.expand_entries = 2048;
+  big.dim = 960;
+  const auto cap_small = device_capacity(dev, small, 1024);
+  const auto cap_big = device_capacity(dev, big, 1024);
+  EXPECT_GT(cap_small, cap_big);
+  EXPECT_LE(cap_small, dev.max_resident_blocks());
+  EXPECT_GE(cap_big, dev.num_sms);  // at least 1 block/SM fits here
 }
 
 // ---------------- device_props / shared_memory ----------------

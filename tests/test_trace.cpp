@@ -10,7 +10,6 @@
 #include <string>
 #include <vector>
 
-#include "baselines/ganns_engine.hpp"
 #include "baselines/static_engine.hpp"
 #include "core/engine.hpp"
 #include "core/slot.hpp"
@@ -545,13 +544,14 @@ TEST(BaselineTrace, TracedAndUntracedStaticRunsAgree) {
 
 TEST(BaselineTrace, GannsEngineTracesUnderItsOwnLabel) {
   const auto& world = algas::testing::tiny_world();
-  baselines::GannsConfig cfg;
+  baselines::StaticConfig cfg;
   cfg.search.topk = 10;
   cfg.search.candidate_len = 64;
   cfg.batch_size = 8;
   Tracer tracer;
   cfg.tracer = &tracer;
-  baselines::GannsEngine engine(world.ds, world.nsw, cfg);
+  baselines::StaticBatchEngine engine(world.ds, world.nsw,
+                                      baselines::ganns_preset(cfg));
   const auto rep = engine.run_closed_loop(16);
   EXPECT_EQ(rep.summary.queries, 16u);
   EXPECT_GT(rep.trace_events, 0u);

@@ -562,12 +562,12 @@ int cmd_search(const Args& args) {
     baselines::StaticBatchEngine e(ds, g, cfg);
     print_report("cagra", e.run_closed_loop(queries));
   } else if (engine == "ganns") {
-    baselines::GannsConfig cfg;
+    baselines::StaticConfig cfg;
     cfg.search.topk = topk;
     cfg.search.candidate_len = list;
     cfg.batch_size = slots;
     cfg.tracer = trace;
-    baselines::GannsEngine e(ds, g, cfg);
+    baselines::StaticBatchEngine e(ds, g, baselines::ganns_preset(cfg));
     print_report("ganns", e.run_closed_loop(queries));
   } else {
     throw std::invalid_argument("unknown engine: " + engine);
