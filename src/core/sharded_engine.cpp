@@ -28,6 +28,7 @@ struct GatherState {
   SimTime arrival_ns = 0.0;
   SimTime dispatch_ns = std::numeric_limits<SimTime>::infinity();  // min
   SimTime gpu_done_ns = 0.0;                                       // max
+  SimTime done_ns = 0.0;  ///< latest shard completion: when the merge may run
   SimTime deadline_ns = std::numeric_limits<SimTime>::infinity();
   std::uint8_t priority = 0;
   /// Best outcome among the probed shards (min Disposition ordinal): one
@@ -365,12 +366,16 @@ ShardedReport ShardedEngine::run(const std::vector<PendingQuery>& arrivals) {
       const auto it = std::find(g.route.begin(), g.route.end(), s);
       const auto ordinal =
           static_cast<std::size_t>(std::distance(g.route.begin(), it));
-      const SimTime done = rec.done_ns;
+      // Records land in delivery order, not completion order: an evicted
+      // shard's short host tail can be delivered after a served shard's
+      // longer one, so the merge waits for the latest completion.
+      g.done_ns = std::max(g.done_ns, rec.done_ns);
       g.runs[ordinal] = rec.results;  // keep a copy in the diagnostics view
+      const std::size_t query = rec.query_index;
       shard_collectors[s].add(std::move(rec));
       if (++g.received == g.route.size()) {
-        merger.push_ready(rec.query_index, done);
-        host_sim.schedule(&merger, done);
+        merger.push_ready(query, g.done_ns);
+        host_sim.schedule(&merger, g.done_ns);
       }
     };
     runs.push_back(std::make_unique<EngineRun>(*engines_[s],

@@ -625,5 +625,37 @@ TEST(ShardedServing, SaturatedShardShedsWhileOthersServe) {
   }
 }
 
+TEST(ShardedServing, MergeWaitsForTheLatestShardCompletion) {
+  // Overloaded K = 2 with deadlines: a query can be served by one shard and
+  // evicted by the other, and the evicted record's short host tail can be
+  // delivered after a served record that finishes later. The cross-shard
+  // merge is host work on the gathered runs, so it must start no earlier
+  // than the latest shard completion on the query's route.
+  const auto& world = algas::testing::tiny_world();
+  ServingConfig cfg = tiny_serving_engine_config();
+  cfg.sharded.shards = 2;
+  cfg.sharded.base.admission.capacity = 4;
+  cfg.sharded.base.admission.policy = ShedPolicy::kDropOldest;
+  cfg.num_queries = 200;
+  cfg.arrival = poisson_cfg(2e5);
+  cfg.deadline_us = 20.0;
+  ServingEngine e(world.ds, cfg);
+  const auto rep = e.run();
+  const auto& s = rep.sharded.merged.summary;
+  ASSERT_GT(s.served, 0u);
+  ASSERT_GT(s.evicted, 0u);
+
+  std::vector<double> last_shard_done(world.ds.num_queries(), 0.0);
+  for (const auto& r : rep.sharded.shard_records.records()) {
+    last_shard_done[r.query_index] =
+        std::max(last_shard_done[r.query_index], r.done_ns);
+  }
+  ASSERT_EQ(rep.sharded.merged.collector.size(), 200u);
+  for (const auto& r : rep.sharded.merged.collector.records()) {
+    EXPECT_GE(r.done_ns, last_shard_done[r.query_index])
+        << "query " << r.query_index << " merged before a shard finished";
+  }
+}
+
 }  // namespace
 }  // namespace algas::core
