@@ -4,34 +4,34 @@
 // batching against a CAGRA-style static batcher at the same arrival rate:
 // the static batcher must *wait to fill a batch*, dynamic slots start
 // immediately.
-#include <cmath>
 #include <cstdio>
 #include <vector>
 
 #include "baselines/static_engine.hpp"
-#include "common/rng.hpp"
 #include "core/engine.hpp"
 #include "dataset/ground_truth.hpp"
 #include "dataset/synthetic.hpp"
 #include "graph/builder.hpp"
+#include "simgpu/arrival.hpp"
 
 using namespace algas;
 
 namespace {
 
+/// `n` arrivals of a seeded Poisson stream at `rate_qps`, cycling through
+/// the dataset's `num_queries` queries.
 std::vector<core::PendingQuery> poisson_arrivals(std::size_t n,
                                                  double rate_qps,
-                                                 std::uint64_t seed) {
-  Rng rng(seed);
+                                                 std::size_t num_queries) {
+  sim::ArrivalConfig cfg;
+  cfg.kind = sim::ArrivalKind::kPoisson;
+  cfg.rate_qps = rate_qps;
+  cfg.seed = 99;
+  sim::ArrivalProcess process(cfg);
   std::vector<core::PendingQuery> arrivals;
   arrivals.reserve(n);
-  double t_ns = 0.0;
-  const double mean_gap_ns = 1e9 / rate_qps;
   for (std::size_t i = 0; i < n; ++i) {
-    double u = rng.next_double();
-    if (u < 1e-12) u = 1e-12;
-    t_ns += -mean_gap_ns * std::log(u);  // exponential inter-arrival
-    arrivals.push_back({i % 256, t_ns});
+    arrivals.push_back({i % num_queries, process.next_arrival_ns()});
   }
   return arrivals;
 }
@@ -40,7 +40,7 @@ std::vector<core::PendingQuery> poisson_arrivals(std::size_t n,
 
 int main() {
   SyntheticSpec spec = sift_like_spec();
-  spec.num_base = 20000;
+  spec.num_base = 4000;
   spec.num_queries = 256;
   Dataset ds = make_synthetic(spec);
   compute_ground_truth(ds, 16);
@@ -51,7 +51,7 @@ int main() {
               "dyn p95", "dyn p99", "stat p50", "stat p95", "stat p99");
 
   for (double rate : {20000.0, 50000.0, 100000.0}) {
-    const auto arrivals = poisson_arrivals(2000, rate, 99);
+    const auto arrivals = poisson_arrivals(400, rate, ds.num_queries());
 
     core::AlgasConfig dcfg;
     dcfg.search.topk = 10;

@@ -3,8 +3,9 @@
 //
 //   ./examples/quickstart
 //
-// Uses a small synthetic corpus so it finishes in seconds. The same five
-// calls work on any Dataset (including ones loaded from fvecs files).
+// Uses a small synthetic corpus so it finishes in seconds (ctest runs it as
+// the example.quickstart smoke test). The same five calls work on any
+// Dataset (including ones loaded from fvecs files).
 #include <cstdio>
 
 #include "core/engine.hpp"
@@ -15,10 +16,10 @@
 using namespace algas;
 
 int main() {
-  // 1. Data: 20k SIFT-like vectors + 64 queries (swap in read_fvecs() for
+  // 1. Data: 5k SIFT-like vectors + 64 queries (swap in read_fvecs() for
   //    real data).
   SyntheticSpec spec = sift_like_spec();
-  spec.num_base = 20000;
+  spec.num_base = 5000;
   spec.num_queries = 64;
   Dataset ds = make_synthetic(spec);
   compute_ground_truth(ds, 16);  // optional: only needed to report recall

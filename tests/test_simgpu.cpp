@@ -479,9 +479,8 @@ TEST(WaveSchedule, MergeExtendsQueryCompletion) {
 }
 
 // The batched graph-construction kernel schedules one CTA per insertion
-// with no merge. These makespans are the bits the construction model's own
-// list scheduler produced for this duration list before it was folded into
-// wave_schedule; bench_construction's TSV depends on them staying exact.
+// with no merge. Its virtual build times (and bench_construction's TSV)
+// are pinned to these exact makespans, so they must not move by one bit.
 TEST(WaveSchedule, ConstructionMakespanIsBitExact) {
   const std::vector<double> durations{
       731.25, 0.1,  1e3 / 3, 47.7,  512.0 + 1e-9, 299.9, 0.3,
