@@ -1,11 +1,11 @@
 #include "core/mutable_index.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <cstring>
 #include <fstream>
 #include <stdexcept>
 
-#include "common/thread_pool.hpp"
 #include "graph/neighbor_selection.hpp"
 #include "graph/nsw_builder.hpp"
 
@@ -43,7 +43,10 @@ void MutationChecker::writer_exit() {
 }
 
 MutableIndex::MutableIndex(Dataset ds, Graph g, BuildConfig cfg)
-    : ds_(std::move(ds)), graph_(std::move(g)), cfg_(std::move(cfg)) {
+    : ds_(std::move(ds)),
+      graph_(std::move(g)),
+      cfg_(std::move(cfg)),
+      exec_(cfg_.threads) {
   if (graph_.num_nodes() != ds_.num_base()) {
     throw std::invalid_argument(
         "MutableIndex: graph covers " + std::to_string(graph_.num_nodes()) +
@@ -95,8 +98,7 @@ StagedBatch MutableIndex::prepare_next(std::size_t max_rows) {
   // The offline builder's phase 1: when every row is staged up front, ef
   // and the batch boundaries match build_nsw exactly, which is what makes
   // stream-from-empty byte-identical to it.
-  BuildExecutor exec(cfg_.threads);
-  search_insert_batch(ds_, graph_, cfg_, exec, b.first, b.found, b.scored);
+  search_insert_batch(ds_, graph_, cfg_, exec_, b.first, b.found, b.scored);
   return b;
 }
 
@@ -124,11 +126,11 @@ InsertReport MutableIndex::apply(StagedBatch& batch) {
   tombstones_.resize(graph_.num_nodes());
 
   // The offline builder's phase 2: the published graph is a deterministic
-  // fold over the batch, independent of the thread count phase 1 ran at
-  // and of any queries served in between.
+  // fold over the batch, independent of the thread count either phase ran
+  // at and of any queries served in between.
   InsertCost cost;
-  link_insert_batch(ds_, graph_, cfg_, batch.first, batch.found, batch.scored,
-                    cost);
+  link_insert_batch(ds_, graph_, cfg_, exec_, batch.first, batch.found,
+                    batch.scored, cost);
   rep.batches = cost.batches;
   rep.scored_points = cost.scored_points;
   rep.virtual_build_ns = cost.virtual_build_ns;
@@ -137,8 +139,7 @@ InsertReport MutableIndex::apply(StagedBatch& batch) {
   // Publish: the entry point recomputes over the published prefix only —
   // staged-but-unlinked rows must never become the entry.
   published_ = graph_.num_nodes();
-  BuildExecutor exec(cfg_.threads);
-  graph_.set_entry_point(approximate_medoid(ds_, exec, published_));
+  graph_.set_entry_point(approximate_medoid(ds_, exec_, published_));
   ++epoch_;
   return rep;
 }
@@ -199,52 +200,58 @@ CompactReport MutableIndex::compact() {
   nds.set_storage(ds_.storage());
   nds.warm_caches();
 
-  // Remap rows in new-id order. A row that kept all its neighbors copies
-  // over verbatim (compacted padding at the tail); a row that lost dead
-  // edges re-selects over its live neighbors plus the dead neighbors' live
-  // neighbors — the 2-hop patch that keeps routes through reclaimed nodes
-  // navigable. All serial, so the compacted graph is deterministic.
+  // Remap every live row into its new id. A row that kept all its
+  // neighbors copies over verbatim (compacted padding at the tail); a row
+  // that lost dead edges re-selects over its live neighbors plus the dead
+  // neighbors' live neighbors — the 2-hop patch that keeps routes through
+  // reclaimed nodes navigable. Each row reads only the old graph and nds
+  // and writes only its own row of ng, so the rows run in parallel and the
+  // compacted graph is independent of the thread count.
   Graph ng(live_n, graph_.degree());
-  std::vector<NodeId> ids;
-  std::vector<float> dists;
-  std::vector<std::pair<float, NodeId>> candidates;
-  for (std::size_t v = 0; v < n; ++v) {
-    const NodeId nv = remap[v];
-    if (nv == kInvalidNode) continue;
-    ids.clear();
-    bool lost = false;
-    for (NodeId u : graph_.neighbors(static_cast<NodeId>(v))) {
-      if (u == kInvalidNode) continue;
-      if (remap[u] != kInvalidNode) {
-        ids.push_back(remap[u]);
+  std::atomic<std::size_t> patched{0};
+  exec_.parallel_for(n, [&](std::size_t lo, std::size_t hi) {
+    std::vector<NodeId> ids;
+    std::vector<float> dists;
+    std::vector<std::pair<float, NodeId>> candidates;
+    PruneScratch scratch;
+    std::size_t chunk_patched = 0;
+    for (std::size_t v = lo; v < hi; ++v) {
+      const NodeId nv = remap[v];
+      if (nv == kInvalidNode) continue;
+      ids.clear();
+      bool lost = false;
+      for (NodeId u : graph_.neighbors(static_cast<NodeId>(v))) {
+        if (u == kInvalidNode) continue;
+        if (remap[u] != kInvalidNode) {
+          ids.push_back(remap[u]);
+          continue;
+        }
+        lost = true;
+        for (NodeId w : graph_.neighbors(u)) {
+          if (w == kInvalidNode || w == static_cast<NodeId>(v)) continue;
+          if (remap[w] != kInvalidNode) ids.push_back(remap[w]);
+        }
+      }
+      if (!lost) {
+        auto row = ng.mutable_neighbors(nv);
+        for (std::size_t i = 0; i < ids.size(); ++i) row[i] = ids[i];
         continue;
       }
-      lost = true;
-      for (NodeId w : graph_.neighbors(u)) {
-        if (w == kInvalidNode || w == static_cast<NodeId>(v)) continue;
-        if (remap[w] != kInvalidNode) ids.push_back(remap[w]);
+      ++chunk_patched;
+      if (ids.empty()) continue;
+      dists.resize(ids.size());
+      nds.distance_batch(nds.base_vector(nv), ids, dists);
+      candidates.clear();
+      for (std::size_t i = 0; i < ids.size(); ++i) {
+        candidates.emplace_back(dists[i], ids[i]);
       }
+      select_neighbors(nds, ng, nv, candidates, scratch);
     }
-    if (!lost) {
-      auto row = ng.mutable_neighbors(nv);
-      for (std::size_t i = 0; i < ids.size(); ++i) row[i] = ids[i];
-      continue;
-    }
-    ++rep.patched;
-    if (ids.empty()) continue;
-    dists.resize(ids.size());
-    nds.distance_batch(nds.base_vector(nv), ids, dists);
-    candidates.clear();
-    for (std::size_t i = 0; i < ids.size(); ++i) {
-      candidates.emplace_back(dists[i], ids[i]);
-    }
-    select_neighbors(nds, ng, nv, candidates);
-  }
+    patched.fetch_add(chunk_patched, std::memory_order_relaxed);
+  });
+  rep.patched = patched.load(std::memory_order_relaxed);
 
-  if (live_n > 0) {
-    BuildExecutor exec(cfg_.threads);
-    ng.set_entry_point(approximate_medoid(nds, exec));
-  }
+  if (live_n > 0) ng.set_entry_point(approximate_medoid(nds, exec_));
 
   // Reclamation recycles the VisitedTable trick: the generation bump
   // retires every tombstone in O(1); the resize then re-bases the set on

@@ -14,8 +14,9 @@
 //                       prefix [0, published), fanned out on the
 //                       BuildExecutor. Runs concurrently with serve() —
 //                       both only read published state.
-//   apply()    writer   phase 2: grow the graph and apply the batch's
-//                       links serially in insertion-id order (the
+//   apply()    writer   phase 2: grow the graph, select each new row's
+//                       neighbors and fold the backlinks per target row in
+//                       insertion-id order, both on the BuildExecutor (the
 //                       byte-identity guarantee: the published graph is
 //                       independent of thread count and of how inserts
 //                       interleaved with queries), recompute the entry
@@ -46,6 +47,7 @@
 #include <vector>
 
 #include "common/ownership.hpp"
+#include "common/thread_pool.hpp"
 #include "core/engine.hpp"
 #include "dataset/dataset.hpp"
 #include "graph/builder.hpp"
@@ -172,9 +174,10 @@ class MutableIndex {
   /// read the frozen prefix. Returns an empty batch when nothing pends.
   StagedBatch prepare_next(std::size_t max_rows = 0);
 
-  /// Writer: phase 2 for a prepared batch — grow, link serially in
-  /// insertion-id order, recompute the entry point, publish. Batches must
-  /// apply in stage order (batch.first == published()).
+  /// Writer: phase 2 for a prepared batch — grow, link (the same graph as
+  /// linking row by row in insertion-id order, at any thread count),
+  /// recompute the entry point, publish. Batches must apply in stage order
+  /// (batch.first == published()).
   InsertReport apply(StagedBatch& batch);
 
   /// Convenience: stage + {prepare_next, apply} until drained. With all
@@ -189,9 +192,9 @@ class MutableIndex {
   /// Writer: reclaim tombstoned rows. Live rows remap down in id order
   /// (order-preserving), rows that lost a dead neighbor re-select over
   /// their live neighbors plus the dead neighbors' live neighbors (2-hop
-  /// patch, serial in new-id order), the entry point recomputes, and the
-  /// tombstone generation bump retires every mark in O(1). Requires no
-  /// pending staged rows.
+  /// patch; each row writes only itself, so the rows run in parallel), the
+  /// entry point recomputes, and the tombstone generation bump retires
+  /// every mark in O(1). Requires no pending staged rows.
   CompactReport compact();
 
   /// Reader: serve the dataset's first `num_queries` queries through an
@@ -217,6 +220,9 @@ class MutableIndex {
   Graph graph_ ALGAS_GUARDED_BY_EPOCH(MutableIndex);
   TombstoneSet tombstones_ ALGAS_GUARDED_BY_EPOCH(MutableIndex);
   BuildConfig cfg_;
+  /// Runs phase 1, the link fold, the entry-point scans and compaction's
+  /// re-select for the index's whole lifetime (cfg_.threads workers).
+  BuildExecutor exec_;
   std::size_t published_ ALGAS_GUARDED_BY_EPOCH(MutableIndex) = 0;
   std::uint64_t epoch_ ALGAS_GUARDED_BY_EPOCH(MutableIndex) = 0;
   mutable MutationChecker checker_;

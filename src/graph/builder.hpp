@@ -42,9 +42,11 @@ struct BuildConfig {
   /// Never affects the resulting graph, only the wall time.
   std::size_t threads = 0;
   /// NSW insertions dispatched per construction batch: each batch's beam
-  /// searches run against the frozen prefix, then links apply serially in
-  /// insertion-id order. Part of the graph's identity (and its cache key);
-  /// 1 degenerates to classic one-at-a-time insertion.
+  /// searches run against the frozen prefix, then its rows select their
+  /// neighbors and each backlink target folds its links in insertion-id
+  /// order (all three steps parallel, equal to linking row by row). Part
+  /// of the graph's identity (and its cache key); 1 degenerates to classic
+  /// one-at-a-time insertion.
   std::size_t insert_batch = 1024;
   /// Virtual-time model of the batched construction kernel (reporting
   /// only — never affects the graph bytes).

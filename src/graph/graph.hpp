@@ -6,7 +6,7 @@
 // fewer real neighbors pad with kInvalidNode.
 //
 // The graph is growable: streaming insertion (core::MutableIndex) appends
-// all-padding rows with grow() and fills them during the serial link phase.
+// all-padding rows with grow() and fills them during the link phase.
 // Node ids are stable across growth; only compaction remaps them.
 #pragma once
 

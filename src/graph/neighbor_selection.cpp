@@ -10,7 +10,8 @@ namespace algas {
 /// of short and long (navigable) edges, which plain closest-first eviction
 /// destroys. Pruned candidates backfill remaining slots.
 void select_neighbors(const Dataset& ds, Graph& g, NodeId v,
-                      std::vector<std::pair<float, NodeId>>& candidates) {
+                      std::vector<std::pair<float, NodeId>>& candidates,
+                      PruneScratch& scratch) {
   std::sort(candidates.begin(), candidates.end());
   candidates.erase(std::unique(candidates.begin(), candidates.end(),
                                [](const auto& a, const auto& b) {
@@ -21,8 +22,10 @@ void select_neighbors(const Dataset& ds, Graph& g, NodeId v,
   auto row = g.mutable_neighbors(v);
   std::fill(row.begin(), row.end(), kInvalidNode);
   std::size_t kept = 0;
-  std::vector<std::size_t> pruned;
-  std::vector<float> kept_dists(row.size());
+  auto& pruned = scratch.pruned;
+  auto& kept_dists = scratch.dists;
+  pruned.clear();
+  kept_dists.resize(row.size());
   for (std::size_t i = 0; i < candidates.size() && kept < row.size(); ++i) {
     const auto [d_vu, u] = candidates[i];
     // One batched round scores u against every kept neighbor. This drops
@@ -49,8 +52,15 @@ void select_neighbors(const Dataset& ds, Graph& g, NodeId v,
   }
 }
 
+void select_neighbors(const Dataset& ds, Graph& g, NodeId v,
+                      std::vector<std::pair<float, NodeId>>& candidates) {
+  PruneScratch scratch;
+  select_neighbors(ds, g, v, candidates, scratch);
+}
+
 /// Add edge v->u; on overflow re-select v's row with the heuristic.
-void link(const Dataset& ds, Graph& g, NodeId v, NodeId u, float d_vu) {
+void link(const Dataset& ds, Graph& g, NodeId v, NodeId u, float d_vu,
+          PruneScratch& scratch) {
   auto row = g.mutable_neighbors(v);
   for (std::size_t i = 0; i < row.size(); ++i) {
     if (row[i] == u) return;
@@ -59,17 +69,18 @@ void link(const Dataset& ds, Graph& g, NodeId v, NodeId u, float d_vu) {
       return;
     }
   }
-  std::vector<std::pair<float, NodeId>> candidates;
-  candidates.reserve(row.size() + 1);
+  auto& candidates = scratch.candidates;
+  candidates.clear();
   candidates.emplace_back(d_vu, u);
-  std::vector<float> row_dists(row.size());
+  auto& row_dists = scratch.dists;
+  row_dists.resize(row.size());
   ds.distance_batch(ds.base_vector(v),
                     std::span<const NodeId>{row.data(), row.size()},
                     row_dists);
   for (std::size_t i = 0; i < row.size(); ++i) {
     candidates.emplace_back(row_dists[i], row[i]);
   }
-  select_neighbors(ds, g, v, candidates);
+  select_neighbors(ds, g, v, candidates, scratch);
 }
 
 }  // namespace algas

@@ -1,6 +1,7 @@
 #include "graph/nsw_builder.hpp"
 
 #include <algorithm>
+#include <cstdint>
 #include <utility>
 #include <vector>
 
@@ -54,29 +55,76 @@ void search_insert_batch(const Dataset& ds, const Graph& g,
 }
 
 void link_insert_batch(const Dataset& ds, Graph& g, const BuildConfig& cfg,
-                       std::size_t begin, InsertCandidates& found,
+                       BuildExecutor& exec, std::size_t begin,
+                       InsertCandidates& found,
                        const std::vector<std::size_t>& scored,
                        InsertCost& cost) {
-  const std::size_t end = begin + found.size();
-  // select_neighbors rewrites v's own row from its beam; link() backlinks
-  // into earlier rows. Serial application makes every row a deterministic
-  // fold over the batch.
-  std::vector<NodeId> row_ids;
-  std::vector<float> row_dists;
-  for (std::size_t v = std::max<std::size_t>(begin, 1); v < end; ++v) {
-    auto& candidates = found[v - begin];
-    if (candidates.empty()) continue;
-    select_neighbors(ds, g, static_cast<NodeId>(v), candidates);
-    row_ids.clear();
-    for (NodeId u : g.neighbors(static_cast<NodeId>(v))) {
-      if (u != kInvalidNode) row_ids.push_back(u);
+  const std::size_t count = found.size();
+  const std::size_t degree = g.degree();
+
+  // (a) Select: row v rewrites only itself from found[v], which the frozen
+  // prefix (or, in the bootstrap batch, rows [0, v)) produced, so the rows
+  // are independent. Each keeps its ids and their distances to v in its
+  // `degree` slots for (b), and frees its consumed beam so (b)'s arrays do
+  // not raise the batch's peak memory.
+  std::vector<NodeId> kept_ids(count * degree, kInvalidNode);
+  std::vector<float> kept_dists(count * degree);
+  exec.parallel_for(count, [&](std::size_t lo, std::size_t hi) {
+    PruneScratch scratch;
+    for (std::size_t i = lo; i < hi; ++i) {
+      auto& candidates = found[i];
+      if (candidates.empty()) continue;  // bootstrap row 0
+      const auto v = static_cast<NodeId>(begin + i);
+      select_neighbors(ds, g, v, candidates, scratch);
+      std::vector<std::pair<float, NodeId>>().swap(candidates);
+      NodeId* ids = kept_ids.data() + i * degree;
+      std::size_t kept = 0;
+      for (NodeId u : g.neighbors(v)) {
+        if (u != kInvalidNode) ids[kept++] = u;
+      }
+      ds.distance_batch(ds.base_vector(v), {ids, kept},
+                        {kept_dists.data() + i * degree, kept});
     }
-    row_dists.resize(row_ids.size());
-    ds.distance_batch(ds.base_vector(v), row_ids, row_dists);
-    for (std::size_t i = 0; i < row_ids.size(); ++i) {
-      link(ds, g, row_ids[i], static_cast<NodeId>(v), row_dists[i]);
+  });
+
+  // (b) Fold: the serial loop called link(x, v, d) for v ascending, and
+  // link(x, .) reads and writes row x alone, so each target row is its own
+  // fold over its backlinks in ascending v. A backlink into a batch row x
+  // (bootstrap only) comes from some v > x, so select(x) in (a) precedes
+  // it, as it did serially. `order` lists the filled slots by (target,
+  // slot); a row holds no duplicate ids, so slot order is source order and
+  // the sort is fully determined. (A comparison sort scales with the
+  // batch's backlinks; a counting sort over target ids would cost the
+  // whole graph's size per batch, quadratic at insert_batch = 1.)
+  std::vector<std::uint32_t> order;
+  order.reserve(kept_ids.size());
+  for (std::size_t s = 0; s < kept_ids.size(); ++s) {
+    if (kept_ids[s] != kInvalidNode) {
+      order.push_back(static_cast<std::uint32_t>(s));
     }
   }
+  const auto by_target = [&](std::uint32_t a, std::uint32_t b) {
+    return kept_ids[a] != kept_ids[b] ? kept_ids[a] < kept_ids[b] : a < b;
+  };
+  std::sort(order.begin(), order.end(), by_target);
+  std::vector<std::uint32_t> group_starts;  // first entry of each target
+  for (std::size_t e = 0; e < order.size(); ++e) {
+    if (e == 0 || kept_ids[order[e]] != kept_ids[order[e - 1]]) {
+      group_starts.push_back(static_cast<std::uint32_t>(e));
+    }
+  }
+  group_starts.push_back(static_cast<std::uint32_t>(order.size()));
+  const std::size_t targets = group_starts.size() - 1;
+  exec.parallel_for(targets, [&](std::size_t lo, std::size_t hi) {
+    PruneScratch scratch;
+    for (std::size_t t = lo; t < hi; ++t) {
+      for (std::size_t e = group_starts[t]; e < group_starts[t + 1]; ++e) {
+        const std::uint32_t s = order[e];
+        link(ds, g, kept_ids[s], static_cast<NodeId>(begin + s / degree),
+             kept_dists[s], scratch);
+      }
+    }
+  });
 
   // Cost accounting in insertion-id order, so the modeled times match the
   // serial schedule exactly: one CTA per insertion, each holding an
@@ -131,7 +179,7 @@ BuildReport build_nsw(const Dataset& ds, const BuildConfig& cfg) {
     found.assign(end - begin, {});
     scored.assign(end - begin, 0);
     search_insert_batch(ds, g, cfg, exec, begin, found, scored);
-    link_insert_batch(ds, g, cfg, begin, found, scored, cost);
+    link_insert_batch(ds, g, cfg, exec, begin, found, scored, cost);
   }
   out.batches = cost.batches;
   out.scored_points = cost.scored_points;

@@ -1,12 +1,13 @@
 // NSW graph construction in the GANNS style [Yu et al., ICDE'22]: points
 // are inserted in batches of cfg.insert_batch. Every point of a batch beam-
 // searches the frozen prefix (all previous batches) concurrently — the
-// host-side analogue of one CTA per insertion — then the batch's links are
-// applied serially in insertion-id order, capped at `degree` per row with
-// the select-neighbors heuristic on overflow. The two-phase structure makes
-// the graph a pure function of (dataset, config): byte-identical for any
-// thread count. insert_batch=1 degenerates to classic one-at-a-time
-// insertion.
+// host-side analogue of one CTA per insertion — then the batch links in
+// two more parallel steps: each row selects its own neighbors with the
+// heuristic, then each backlink target folds its incoming links in
+// insertion-id order, capped at `degree` per row. Every step writes only
+// rows it owns, so the graph is a pure function of (dataset, config):
+// byte-identical to one-row-at-a-time linking at any thread count.
+// insert_batch=1 degenerates to classic one-at-a-time insertion.
 //
 // The two phases are exposed on their own so the streaming index
 // (core::MutableIndex) runs the very same pipeline one batch at a time:
@@ -47,12 +48,15 @@ void search_insert_batch(const Dataset& ds, const Graph& g,
                          std::size_t begin, InsertCandidates& found,
                          std::vector<std::size_t>& scored);
 
-/// Phase 2: link rows [begin, begin + found.size()) into `g` serially in
-/// insertion-id order (select_neighbors consumes found[i] in place), then
-/// charge the batch's modeled cost into `cost`. `g` must already cover the
-/// batch's rows.
+/// Phase 2: link rows [begin, begin + found.size()) into `g` (g must
+/// already cover them), then charge the batch's modeled cost into `cost`.
+/// Two parallel_for passes on `exec`: every row selects its neighbors from
+/// found[i] (consumed in place), then every backlink target folds its
+/// incoming links in ascending source id. The result equals linking the
+/// rows one at a time in insertion-id order, for any thread count.
 void link_insert_batch(const Dataset& ds, Graph& g, const BuildConfig& cfg,
-                       std::size_t begin, InsertCandidates& found,
+                       BuildExecutor& exec, std::size_t begin,
+                       InsertCandidates& found,
                        const std::vector<std::size_t>& scored,
                        InsertCost& cost);
 

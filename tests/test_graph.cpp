@@ -1,8 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <set>
 
 #include "graph/builder.hpp"
@@ -167,7 +170,7 @@ TEST(Graph, LoadRejectsEveryCorruptionMode) {
   // Node count that would overflow the adjacency allocation.
   {
     auto bad = bytes;
-    for (int i = 8; i < 16; ++i) bad[static_cast<std::size_t>(i)] = '\xff';
+    std::fill(bad.begin() + 8, bad.begin() + 16, '\xff');
     write_and_expect_throw(bad, "node count overflow");
   }
 }
@@ -433,6 +436,45 @@ TEST(ByteIdentity, CosineMetricAndScoredCounts) {
   EXPECT_EQ(parallel.scored_points, serial.scored_points);
   EXPECT_EQ(parallel.batches, serial.batches);
   EXPECT_DOUBLE_EQ(parallel.virtual_build_ns, serial.virtual_build_ns);
+}
+
+// ByteIdentityTest compares thread counts of the same code, so it cannot
+// catch a change that moves the graph at every thread count. These pins fix
+// the FNV-1a fingerprint (adjacency + entry point) of NSW builds over the
+// tiny worlds, as the one-row-at-a-time link loop produced them; any change
+// to construction that alters a graph has to update them on purpose.
+TEST(GoldenGraph, NswFingerprintsHoldAtEveryThreadCount) {
+  struct Case {
+    Metric metric;
+    StorageCodec codec;
+    std::size_t insert_batch;
+    std::uint64_t fnv;
+  };
+  // L2 f32 at batch 384 (uneven tail), 1, and >= n (bootstrap batch only);
+  // then cosine f32 and L2 int8 at batch 384.
+  const Case cases[] = {
+      {Metric::kL2, StorageCodec::kF32, 384, 0x9c5d653173f25918ULL},
+      {Metric::kL2, StorageCodec::kF32, 1, 0x77ffa61b30f64b2fULL},
+      {Metric::kL2, StorageCodec::kF32, 4096, 0x5132574d26a09a56ULL},
+      {Metric::kCosine, StorageCodec::kF32, 384, 0x40f314504dd8b58fULL},
+      {Metric::kL2, StorageCodec::kInt8, 384, 0xabfe4d953580a066ULL},
+  };
+  for (std::size_t i = 0; i < std::size(cases); ++i) {
+    const Case& c = cases[i];
+    Dataset ds = testing::tiny_world(c.metric).ds;
+    ds.set_storage(c.codec);
+    ASSERT_LE(ds.num_base(), 4096u);  // the bootstrap case covers all rows
+    for (std::size_t threads : {1u, 3u, 4u}) {
+      BuildConfig cfg;
+      cfg.degree = 16;
+      cfg.ef_construction = 48;
+      cfg.insert_batch = c.insert_batch;
+      cfg.threads = threads;
+      const Graph g = build_graph(GraphKind::kNsw, ds, cfg).graph;
+      EXPECT_EQ(testing::graph_fnv1a(g), c.fnv)
+          << "case " << i << ", threads=" << threads;
+    }
+  }
 }
 
 // The pre-BuildReport shims (gpu_build_nsw, BuildReport->Graph conversion)

@@ -145,7 +145,9 @@ TEST(MutableInsert, AdoptedGraphExtends) {
        ++v) {
     EXPECT_GT(idx.graph().valid_degree(v), 0u);
     for (NodeId u : idx.graph().neighbors(v)) {
-      if (u != kInvalidNode) EXPECT_LT(u, idx.graph().num_nodes());
+      if (u != kInvalidNode) {
+        EXPECT_LT(u, idx.graph().num_nodes());
+      }
     }
   }
 }
@@ -251,7 +253,9 @@ TEST(MutableCompact, ReclaimsAndRemapsInOrder) {
   // And the graph references only surviving ids.
   for (NodeId v = 0; v < idx.graph().num_nodes(); ++v) {
     for (NodeId u : idx.graph().neighbors(v)) {
-      if (u != kInvalidNode) EXPECT_LT(u, idx.graph().num_nodes());
+      if (u != kInvalidNode) {
+        EXPECT_LT(u, idx.graph().num_nodes());
+      }
     }
   }
   // Searches over the compacted index still find close neighbors.
@@ -273,23 +277,42 @@ TEST(MutableCompact, RefusesWithStagedRows) {
   EXPECT_THROW(idx.compact(), std::logic_error);
 }
 
+/// Insert 300 rows, tombstone every 7th row from 2 to 289, insert the
+/// rest, compact: the lifecycle the churn tests replay.
+MutableIndex churned(const Dataset& full, std::size_t threads,
+                     core::CompactReport* rep = nullptr) {
+  BuildConfig cfg = small_cfg();
+  cfg.threads = threads;
+  MutableIndex idx(empty_like(full), cfg);
+  idx.insert({full.base().data(), 300 * full.dim()});
+  for (NodeId v = 2; v < 290; v += 7) idx.remove(v);
+  idx.insert({full.base().data() + 300 * full.dim(),
+              (full.num_base() - 300) * full.dim()});
+  const core::CompactReport r = idx.compact();
+  if (rep != nullptr) *rep = r;
+  return idx;
+}
+
 TEST(MutableChurn, FullLifecycleIsThreadCountInvariant) {
   const Dataset full = small_ds();
-  auto churn = [&](std::size_t threads) {
-    BuildConfig cfg = small_cfg();
-    cfg.threads = threads;
-    MutableIndex idx(empty_like(full), cfg);
-    idx.insert({full.base().data(), 300 * full.dim()});
-    for (NodeId v = 2; v < 290; v += 7) idx.remove(v);
-    idx.insert({full.base().data() + 300 * full.dim(),
-                (full.num_base() - 300) * full.dim()});
-    idx.compact();
-    return idx;
-  };
-  const MutableIndex a = churn(1);
-  const MutableIndex b = churn(4);
+  const MutableIndex a = churned(full, 1);
+  const MutableIndex b = churned(full, 4);
   expect_same_graph(a.graph(), b.graph());
   EXPECT_EQ(a.dataset().base(), b.dataset().base());
+}
+
+TEST(MutableChurn, GoldenFingerprintHoldsAtEveryThreadCount) {
+  // Pinned as the one-row-at-a-time link and compaction loops produced
+  // it: a reorder that changed the graph at every thread count would pass
+  // the thread-count comparison above but not this.
+  const Dataset full = small_ds();
+  for (std::size_t threads : {1u, 3u, 4u}) {
+    core::CompactReport rep;
+    const MutableIndex idx = churned(full, threads, &rep);
+    EXPECT_EQ(testing::graph_fnv1a(idx.graph()), 0x99f2c12995b2fe3dULL)
+        << "threads=" << threads;
+    EXPECT_EQ(rep.patched, 229u) << "threads=" << threads;
+  }
 }
 
 // ---------------- snapshots ----------------

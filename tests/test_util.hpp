@@ -2,6 +2,7 @@
 // tests fast while exercising real search behaviour.
 #pragma once
 
+#include <cstdint>
 #include <memory>
 
 #include "dataset/dataset.hpp"
@@ -42,6 +43,22 @@ inline const TinyWorld& tiny_world(Metric metric = Metric::kL2) {
   static std::unique_ptr<TinyWorld> l2 = make(Metric::kL2);
   static std::unique_ptr<TinyWorld> cos = make(Metric::kCosine);
   return metric == Metric::kL2 ? *l2 : *cos;
+}
+
+/// FNV-1a 64 over a graph's adjacency (each id as 4 little-endian bytes)
+/// followed by its entry point — the fingerprint the cross-version golden
+/// pins compare against.
+inline std::uint64_t graph_fnv1a(const Graph& g) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  const auto mix = [&h](NodeId id) {
+    for (int b = 0; b < 4; ++b) {
+      h ^= (static_cast<std::uint64_t>(id) >> (8 * b)) & 0xffU;
+      h *= 0x100000001b3ULL;
+    }
+  };
+  for (NodeId id : g.adjacency()) mix(id);
+  mix(g.entry_point());
+  return h;
 }
 
 }  // namespace algas::testing
