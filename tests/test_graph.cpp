@@ -438,6 +438,26 @@ TEST(ByteIdentity, CosineMetricAndScoredCounts) {
   EXPECT_DOUBLE_EQ(parallel.virtual_build_ns, serial.virtual_build_ns);
 }
 
+// The tiny world under `metric`. Inner product scores the L2 world's
+// unnormalized rows, so 1 - <a,b> goes negative: a construction that took a
+// negative distance for a missing value would move its graph.
+Dataset golden_dataset(Metric metric) {
+  if (metric != Metric::kInnerProduct) return testing::tiny_world(metric).ds;
+  const Dataset& l2 = testing::tiny_world(Metric::kL2).ds;
+  Dataset ds("tiny-ip", l2.dim(), Metric::kInnerProduct);
+  ds.mutable_base() = l2.base();
+  return ds;
+}
+
+TEST(GoldenGraph, InnerProductWorldHasNegativeDistances) {
+  const Dataset ds = golden_dataset(Metric::kInnerProduct);
+  float lowest = 0.0f;
+  for (NodeId u = 1; u < ds.num_base(); ++u) {
+    lowest = std::min(lowest, ds.score(ds.base_vector(0), u));
+  }
+  EXPECT_LT(lowest, 0.0f);
+}
+
 // ByteIdentityTest compares thread counts of the same code, so it cannot
 // catch a change that moves the graph at every thread count. These pins fix
 // the FNV-1a fingerprint (adjacency + entry point) of NSW builds over the
@@ -451,17 +471,19 @@ TEST(GoldenGraph, NswFingerprintsHoldAtEveryThreadCount) {
     std::uint64_t fnv;
   };
   // L2 f32 at batch 384 (uneven tail), 1, and >= n (bootstrap batch only);
-  // then cosine f32 and L2 int8 at batch 384.
+  // then cosine f32, L2 int8, inner-product f32 and L2 f16 at batch 384.
   const Case cases[] = {
       {Metric::kL2, StorageCodec::kF32, 384, 0x9c5d653173f25918ULL},
       {Metric::kL2, StorageCodec::kF32, 1, 0x77ffa61b30f64b2fULL},
       {Metric::kL2, StorageCodec::kF32, 4096, 0x5132574d26a09a56ULL},
       {Metric::kCosine, StorageCodec::kF32, 384, 0x40f314504dd8b58fULL},
       {Metric::kL2, StorageCodec::kInt8, 384, 0xabfe4d953580a066ULL},
+      {Metric::kInnerProduct, StorageCodec::kF32, 384, 0x8d6eeb5a53a3da68ULL},
+      {Metric::kL2, StorageCodec::kF16, 384, 0xce7c427d022698e9ULL},
   };
   for (std::size_t i = 0; i < std::size(cases); ++i) {
     const Case& c = cases[i];
-    Dataset ds = testing::tiny_world(c.metric).ds;
+    Dataset ds = golden_dataset(c.metric);
     ds.set_storage(c.codec);
     ASSERT_LE(ds.num_base(), 4096u);  // the bootstrap case covers all rows
     for (std::size_t threads : {1u, 3u, 4u}) {
