@@ -14,7 +14,8 @@
 //   construction  deterministic batched NSW build on a capped corpus —
 //             insertions/s at threads=1 (gated) plus the parallel speedup
 //             at the default thread count (informational; CI machines have
-//             unpredictable core counts).
+//             unpredictable core counts), and the phase-2 distance evals
+//             the host computed (informational, never gated).
 //
 // Prints a TSV block (like every bench) and writes a JSON summary to
 // ALGAS_WALLTIME_OUT (default "BENCH_walltime.json") for CI regression
@@ -143,6 +144,7 @@ int main() {
   double construction_ips = 0.0;
   double construction_speedup = 0.0;
   double construction_parallel_wall_s = 0.0;
+  std::size_t construction_link_evals = 0;
   {
     const Dataset build_ds =
         load_bench_dataset_sized(ds_name, 10000, 10, 32, /*use_cache=*/true);
@@ -153,6 +155,7 @@ int main() {
     s.wall_s = serial.wall_build_s;
     s.evals_per_s = static_cast<double>(serial.scored_points) / s.wall_s;
     construction_ips = static_cast<double>(build_ds.num_base()) / s.wall_s;
+    construction_link_evals = serial.link_evals;
     sections.push_back(s);
 
     cfg.threads = 0;  // default: ALGAS_BUILD_THREADS, then hardware
@@ -189,7 +192,8 @@ int main() {
       << "  \"construction_insertions_per_s\": " << construction_ips << ",\n"
       << "  \"construction_speedup\": " << construction_speedup << ",\n"
       << "  \"construction_parallel_wall_s\": " << construction_parallel_wall_s
-      << ",\n";
+      << ",\n"
+      << "  \"construction_link_evals\": " << construction_link_evals << ",\n";
   for (std::size_t i = 0; i < sections.size(); ++i) {
     const auto& s = sections[i];
     out << "  \"" << s.name << "_wall_s\": " << s.wall_s << ",\n";

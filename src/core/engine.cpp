@@ -37,6 +37,14 @@ const char* host_sync_name(HostSync s) {
 
 namespace {
 
+/// Trace span name of a query, "q<index>". Built by appending: at -O3,
+/// gcc 12 flags `"q" + std::to_string(...)` with a false -Wrestrict.
+std::string query_span_name(std::size_t query_index) {
+  std::string name = "q";
+  name += std::to_string(query_index);
+  return name;
+}
+
 /// Per-slot runtime shared between the slot's CTAs and its host worker —
 /// the in-memory half of the Fig 9 single-writer matrix. Host-side fields
 /// are owned by the slot's HostWorker outright; the per-query scratch
@@ -354,7 +362,7 @@ void CtaActor::step(sim::Simulation& sim) {
             run_.trace.pid,
             run_.trace.cta_tid0 +
                 static_cast<int>(slot_ * run_.plan.n_parallel + cta_),
-            "q" + std::to_string(rt.query_index), sim.now(), elapsed,
+            query_span_name(rt.query_index), sim.now(), elapsed,
             std::move(args), "cta");
       }
       sim.schedule(this, sim.now() + elapsed);
@@ -485,7 +493,7 @@ void HostWorker::fetch_and_complete(sim::Simulation& sim, std::size_t slot,
     args.add("rounds", static_cast<std::uint64_t>(rt.rounds));
     // Slot occupancy: dispatch to delivery, one span per served query.
     tr.complete(run_.trace.pid, slot_tid,
-                "q" + std::to_string(rt.query_index), rt.dispatch_ns,
+                query_span_name(rt.query_index), rt.dispatch_ns,
                 done_ns - rt.dispatch_ns, std::move(args), "slot");
     tr.flow_end(run_.trace.pid, slot_tid, "query", rt.flow_id, done_ns);
     tr.counter(run_.trace.pid, "in-flight queries", done_ns,
@@ -551,7 +559,7 @@ void HostWorker::evict_expired(sim::Simulation& sim, std::size_t slot,
     args.add("query", static_cast<std::uint64_t>(rt.query_index));
     args.add("steps", static_cast<std::uint64_t>(rt.steps));
     tr.complete(run_.trace.pid, slot_tid,
-                "q" + std::to_string(rt.query_index) + " (evicted)",
+                query_span_name(rt.query_index) + " (evicted)",
                 rt.dispatch_ns, done_ns - rt.dispatch_ns, std::move(args),
                 "slot");
     tr.flow_end(run_.trace.pid, slot_tid, "query", rt.flow_id, done_ns);

@@ -64,6 +64,9 @@ struct BuildReport {
   double serial_build_ns = 0.0;    ///< same work on one CTA (the baseline)
   std::size_t batches = 0;
   std::size_t scored_points = 0;   ///< beam-search distance evals, total
+  /// Host distance evals of NSW phase 2 (select, link, backlink folds);
+  /// CAGRA reports its NSW scaffold's. Never feeds the modeled times.
+  std::size_t link_evals = 0;
   bool cache_hit = false;          ///< load_or_build_graph found an artifact
 
   double speedup() const {

@@ -36,6 +36,7 @@ BuildReport build_cagra(const Dataset& ds, const BuildConfig& cfg) {
   out.serial_build_ns = scaffold_report.serial_build_ns;
   out.batches = scaffold_report.batches;
   out.scored_points = scaffold_report.scored_points;
+  out.link_evals = scaffold_report.link_evals;
 
   const std::size_t k = std::min(2 * cfg.degree, n - 1);
   std::vector<std::vector<std::pair<float, NodeId>>> knn(n);

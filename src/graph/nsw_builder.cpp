@@ -1,6 +1,7 @@
 #include "graph/nsw_builder.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <cstdint>
 #include <utility>
 #include <vector>
@@ -35,10 +36,11 @@ void search_insert_batch(const Dataset& ds, const Graph& g,
         for (std::size_t u = 0; u < v; ++u) {
           list.emplace_back(tile[u], static_cast<NodeId>(u));
         }
-        std::sort(list.begin(), list.end());
-        if (list.size() > cfg.ef_construction) {
-          list.resize(cfg.ef_construction);
-        }
+        // The (dist, id) keys are unique, so the kept prefix is the one a
+        // full sort would give.
+        const std::size_t keep = std::min(v, cfg.ef_construction);
+        std::partial_sort(list.begin(), list.begin() + keep, list.end());
+        list.resize(keep);
         scored[v] = v;
       }
     });
@@ -69,6 +71,7 @@ void link_insert_batch(const Dataset& ds, Graph& g, const BuildConfig& cfg,
   // not raise the batch's peak memory.
   std::vector<NodeId> kept_ids(count * degree, kInvalidNode);
   std::vector<float> kept_dists(count * degree);
+  std::atomic<std::size_t> evals{0};
   exec.parallel_for(count, [&](std::size_t lo, std::size_t hi) {
     PruneScratch scratch;
     for (std::size_t i = lo; i < hi; ++i) {
@@ -84,12 +87,14 @@ void link_insert_batch(const Dataset& ds, Graph& g, const BuildConfig& cfg,
       }
       ds.distance_batch(ds.base_vector(v), {ids, kept},
                         {kept_dists.data() + i * degree, kept});
+      scratch.evals += kept;
     }
+    evals.fetch_add(scratch.evals, std::memory_order_relaxed);
   });
 
-  // (b) Fold: the serial loop called link(x, v, d) for v ascending, and
-  // link(x, .) reads and writes row x alone, so each target row is its own
-  // fold over its backlinks in ascending v. A backlink into a batch row x
+  // (b) Fold: the serial loop linked each target x to its sources v in
+  // ascending v, touching row x alone, so each target row is its own fold
+  // over its backlinks in ascending v. A backlink into a batch row x
   // (bootstrap only) comes from some v > x, so select(x) in (a) precedes
   // it, as it did serially. `order` lists the filled slots by (target,
   // slot); a row holds no duplicate ids, so slot order is source order and
@@ -117,14 +122,20 @@ void link_insert_batch(const Dataset& ds, Graph& g, const BuildConfig& cfg,
   const std::size_t targets = group_starts.size() - 1;
   exec.parallel_for(targets, [&](std::size_t lo, std::size_t hi) {
     PruneScratch scratch;
+    std::vector<std::pair<float, NodeId>> sources;
     for (std::size_t t = lo; t < hi; ++t) {
+      sources.clear();
       for (std::size_t e = group_starts[t]; e < group_starts[t + 1]; ++e) {
         const std::uint32_t s = order[e];
-        link(ds, g, kept_ids[s], static_cast<NodeId>(begin + s / degree),
-             kept_dists[s], scratch);
+        sources.emplace_back(kept_dists[s],
+                             static_cast<NodeId>(begin + s / degree));
       }
+      fold_backlinks(ds, g, kept_ids[order[group_starts[t]]], sources,
+                     scratch);
     }
+    evals.fetch_add(scratch.evals, std::memory_order_relaxed);
   });
+  cost.link_evals += evals.load(std::memory_order_relaxed);
 
   // Cost accounting in insertion-id order, so the modeled times match the
   // serial schedule exactly: one CTA per insertion, each holding an
@@ -183,6 +194,7 @@ BuildReport build_nsw(const Dataset& ds, const BuildConfig& cfg) {
   }
   out.batches = cost.batches;
   out.scored_points = cost.scored_points;
+  out.link_evals = cost.link_evals;
   out.virtual_build_ns = cost.virtual_build_ns;
   out.serial_build_ns = cost.serial_build_ns +
                         cfg.cost.kernel_launch_ns *

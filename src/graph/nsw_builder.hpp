@@ -32,6 +32,10 @@ using InsertCandidates = std::vector<std::vector<std::pair<float, NodeId>>>;
 struct InsertCost {
   std::size_t batches = 0;
   std::size_t scored_points = 0;  ///< beam-search distance evals
+  /// Phase-2 distance evals the host computed (select, kept distances and
+  /// backlink folds). A host-cost ledger only: the fold reuses distances a
+  /// device would recompute, so it never feeds the modeled times.
+  std::size_t link_evals = 0;
   double virtual_build_ns = 0.0;  ///< per batch: launch + wave makespan
   /// Sum of the per-insertion costs on one CTA. Kernel launches are not
   /// included: callers add batches * kernel_launch_ns at the end.

@@ -5,6 +5,7 @@
 #include <memory>
 #include <ostream>
 #include <stdexcept>
+#include <utility>
 
 #include "common/env.hpp"
 
@@ -54,7 +55,13 @@ std::string fmt_value(double v) {
 }  // namespace
 
 TraceArgs& TraceArgs::add(const std::string& key, const std::string& v) {
-  kv_.emplace_back(key, "\"" + escaped(v) + "\"");
+  const std::string body = escaped(v);
+  std::string quoted;
+  quoted.reserve(body.size() + 2);
+  quoted += '"';
+  quoted += body;
+  quoted += '"';
+  kv_.emplace_back(key, std::move(quoted));
   return *this;
 }
 

@@ -422,7 +422,9 @@ INSTANTIATE_TEST_SUITE_P(Kinds, ByteIdentityTest,
 TEST(ByteIdentity, CosineMetricAndScoredCounts) {
   // Cosine exercises the lazily-built norm table (warmed before forking);
   // the distance-eval ledger must also be thread-count invariant because
-  // it feeds the virtual-time model.
+  // it feeds the virtual-time model. The host's phase-2 ledger is too: the
+  // backlink folds reset their pair tables per target, not per chunk. Its
+  // pinned value fails if a fold stops reusing the pairs it scored.
   const auto& world = testing::tiny_world(Metric::kCosine);
   BuildConfig cfg;
   cfg.degree = 16;
@@ -434,6 +436,8 @@ TEST(ByteIdentity, CosineMetricAndScoredCounts) {
   const BuildReport parallel = build_graph(GraphKind::kNsw, world.ds, cfg);
   EXPECT_EQ(parallel.graph.adjacency(), serial.graph.adjacency());
   EXPECT_EQ(parallel.scored_points, serial.scored_points);
+  EXPECT_EQ(parallel.link_evals, serial.link_evals);
+  EXPECT_EQ(serial.link_evals, 978894u);
   EXPECT_EQ(parallel.batches, serial.batches);
   EXPECT_DOUBLE_EQ(parallel.virtual_build_ns, serial.virtual_build_ns);
 }
