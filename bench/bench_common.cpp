@@ -1,6 +1,9 @@
 #include "bench_common.hpp"
 
 #include <algorithm>
+#include <bit>
+#include <cstdio>
+#include <fstream>
 #include <iostream>
 #include <map>
 #include <sstream>
@@ -126,6 +129,142 @@ std::string us(double v) {
   out.precision(1);
   out << v;
   return out.str();
+}
+
+void Fnv::mix(std::uint64_t v) {
+  for (int i = 0; i < 8; ++i) {
+    h ^= (v >> (8 * i)) & 0xffULL;
+    h *= 0x100000001b3ULL;
+  }
+}
+
+void Fnv::mix_double(double d) { mix(std::bit_cast<std::uint64_t>(d)); }
+
+std::string hex64(std::uint64_t v) {
+  char buf[17];
+  std::snprintf(buf, sizeof(buf), "%016llx",
+                static_cast<unsigned long long>(v));
+  return buf;
+}
+
+std::uint64_t results_checksum(const metrics::Collector& c) {
+  std::vector<const metrics::QueryRecord*> recs;
+  recs.reserve(c.size());
+  for (const auto& r : c.records()) recs.push_back(&r);
+  std::sort(recs.begin(), recs.end(),
+            [](const metrics::QueryRecord* a, const metrics::QueryRecord* b) {
+              return a->query_index < b->query_index;
+            });
+  Fnv f;
+  for (const auto* r : recs) {
+    f.mix(r->query_index);
+    f.mix(static_cast<std::uint64_t>(r->disposition));
+    f.mix(r->results.size());
+    for (const KV& kv : r->results) {
+      f.mix(kv.id());
+      f.mix(std::bit_cast<std::uint32_t>(kv.dist));
+    }
+  }
+  return f.h;
+}
+
+namespace {
+
+void write_quoted(std::ostream& out, std::string_view s) {
+  out << '"';
+  for (const char ch : s) {
+    if (ch == '"' || ch == '\\') {
+      out << '\\' << ch;
+    } else if (static_cast<unsigned char>(ch) < 0x20) {
+      char buf[7];
+      std::snprintf(buf, sizeof(buf), "\\u%04x", static_cast<unsigned>(ch));
+      out << buf;
+    } else {
+      out << ch;
+    }
+  }
+  out << '"';
+}
+
+}  // namespace
+
+JsonWriter::JsonWriter(std::string path) : path_(std::move(path)) {
+  out_.setf(std::ios::fixed);
+  out_.precision(10);
+  out_ << '{';
+  closers_.push_back('}');
+}
+
+void JsonWriter::member(std::string_view key) {
+  if (closers_.empty()) throw std::logic_error("JsonWriter: report finished");
+  // Object members need a key; array elements must not have one.
+  if (key.empty() != (closers_.back() == ']')) {
+    throw std::logic_error("JsonWriter: key/container mismatch");
+  }
+  out_ << (first_ ? "\n" : ",\n") << std::string(2 * closers_.size(), ' ');
+  if (!key.empty()) {
+    write_quoted(out_, key);
+    out_ << ": ";
+  }
+  first_ = false;
+}
+
+JsonWriter& JsonWriter::field(std::string_view key, std::string_view v) {
+  member(key);
+  write_quoted(out_, v);
+  return *this;
+}
+
+JsonWriter& JsonWriter::field(std::string_view key, double v) {
+  member(key);
+  out_ << v;
+  return *this;
+}
+
+JsonWriter& JsonWriter::field(std::string_view key, std::size_t v) {
+  member(key);
+  out_ << v;
+  return *this;
+}
+
+JsonWriter& JsonWriter::field(std::string_view key, bool v) {
+  member(key);
+  out_ << (v ? "true" : "false");
+  return *this;
+}
+
+JsonWriter& JsonWriter::open(std::string_view key, char bracket) {
+  member(key);
+  out_ << bracket;
+  closers_.push_back(bracket == '{' ? '}' : ']');
+  first_ = true;
+  return *this;
+}
+
+JsonWriter& JsonWriter::object(std::string_view key) { return open(key, '{'); }
+
+JsonWriter& JsonWriter::array(std::string_view key) { return open(key, '['); }
+
+JsonWriter& JsonWriter::close() {
+  if (closers_.empty()) throw std::logic_error("JsonWriter: nothing open");
+  const char closer = closers_.back();
+  closers_.pop_back();
+  out_ << '\n' << std::string(2 * closers_.size(), ' ') << closer;
+  first_ = false;
+  return *this;
+}
+
+void JsonWriter::finish() {
+  if (closers_.size() != 1) {
+    throw std::logic_error("JsonWriter: unclosed object or array");
+  }
+  field("end", true);
+  close();
+  out_ << '\n';
+  std::ofstream file(path_, std::ios::trunc);
+  file << out_.str();
+  if (!file.flush()) throw std::runtime_error("cannot write " + path_);
+  std::cerr << "[bench] wrote " << path_ << "\n";
 }
 
 }  // namespace algas::bench

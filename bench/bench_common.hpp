@@ -8,12 +8,16 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
+#include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/engine.hpp"
 #include "dataset/dataset.hpp"
 #include "graph/builder.hpp"
+#include "metrics/collector.hpp"
 #include "metrics/table.hpp"
 
 namespace algas::bench {
@@ -54,5 +58,54 @@ core::AlgasConfig algas_config(std::size_t batch, std::size_t candidate_len,
 
 /// Format helper: microseconds with 1 decimal.
 std::string us(double v);
+
+/// FNV-1a 64 over the little-endian bytes of 64-bit words: the fingerprint
+/// behind every checksum a gated bench reports.
+struct Fnv {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  void mix(std::uint64_t v);
+  void mix_double(double d);
+};
+
+/// 16 lowercase hex digits, the form every checksum takes in a report.
+std::string hex64(std::uint64_t v);
+
+/// Fingerprint of every record's results in query-index order (the
+/// collector keeps completion order, which may vary with host threads):
+/// query index, disposition and result count, then each id and the bits of
+/// its distance. A served/shed flip or a truncated list cannot cancel out.
+std::uint64_t results_checksum(const metrics::Collector& c);
+
+/// The JSON report every gated bench writes: nested objects and arrays, one
+/// member per line, doubles in fixed notation with 10 decimals (the
+/// precision the baselines pin recalls at). Members of an array take an
+/// empty key. finish() appends `"end": true`, closes the root object and
+/// writes the file, so a truncated report never parses.
+class JsonWriter {
+ public:
+  explicit JsonWriter(std::string path);
+
+  JsonWriter& field(std::string_view key, std::string_view v);
+  JsonWriter& field(std::string_view key, const char* v) {
+    return field(key, std::string_view(v));
+  }
+  JsonWriter& field(std::string_view key, double v);
+  JsonWriter& field(std::string_view key, bool v);
+  JsonWriter& field(std::string_view key, std::size_t v);
+  JsonWriter& object(std::string_view key = {});
+  JsonWriter& array(std::string_view key);
+  /// Closes the innermost open object or array.
+  JsonWriter& close();
+  void finish();
+
+ private:
+  void member(std::string_view key);
+  JsonWriter& open(std::string_view key, char bracket);
+
+  std::string path_;
+  std::ostringstream out_;
+  std::vector<char> closers_;  ///< closing bracket of each open container
+  bool first_ = true;          ///< no member yet in the innermost container
+};
 
 }  // namespace algas::bench

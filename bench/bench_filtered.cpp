@@ -16,7 +16,8 @@
 //               the paper's graph-side filtering avoids.
 //
 // The JSON also carries an FNV-1a checksum over the attribute arrays and
-// over the null-predicate variant's full result lists. CI runs the bench
+// over the null-predicate variant's full result lists
+// (bench::results_checksum). CI runs the bench
 // at ALGAS_FILTERED_HOSTS=1 and =4 and byte-compares the files: filtered
 // search must not depend on host thread count, and a null predicate must
 // reproduce the unfiltered engine bit for bit. The bench exits nonzero
@@ -29,15 +30,13 @@
 //   ALGAS_FILTERED_OUT   output JSON path (default "BENCH_filtered.json")
 //   ALGAS_FILTERED_HOSTS host worker threads in the engine (default 1)
 #include <algorithm>
-#include <bit>
 #include <cstdint>
 #include <cstdio>
-#include <fstream>
-#include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "baselines/ivf.hpp"
+#include "bench_common.hpp"
 #include "common/env.hpp"
 #include "core/engine.hpp"
 #include "dataset/ground_truth.hpp"
@@ -55,67 +54,12 @@ constexpr std::size_t kTopk = 10;
 constexpr double kTiers[] = {0.001, 0.01, 0.1, 0.5};
 const char* kTierNames[] = {"0.1pct", "1pct", "10pct", "50pct"};
 
-/// The recall_gate configuration (topk 10), shared with bench_churn.
-core::AlgasConfig gate_config(std::size_t hosts) {
-  core::AlgasConfig cfg;
-  cfg.search.topk = kTopk;
-  cfg.search.candidate_len = 128;
-  cfg.search.beam_width = 4;
-  cfg.search.offset_beam = 24;
-  cfg.slots = 16;
-  cfg.host_threads = hosts;
-  cfg.n_parallel = 4;
-  cfg.host_sync = core::HostSync::kPollMirrored;
-  return cfg;
-}
-
-struct Fnv {
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  void mix(std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      h ^= (v >> (8 * i)) & 0xffULL;
-      h *= 0x100000001b3ULL;
-    }
-  }
-};
-
 std::uint64_t attribute_checksum(const Dataset& ds) {
-  Fnv f;
+  bench::Fnv f;
   f.mix(ds.num_base());
   for (const std::uint32_t c : ds.categories()) f.mix(c);
   for (const std::uint32_t t : ds.timestamps()) f.mix(t);
   return f.h;
-}
-
-/// Fingerprint of every served result list: (query, id, distance bits),
-/// canonicalized by query index — the collector stores completion order,
-/// which legitimately varies with host thread count, while each query's
-/// RESULTS must not. The checksum doubles as a byte-identity pin for the
-/// null-predicate path against the pre-filter engine.
-std::uint64_t results_checksum(const metrics::Collector& col) {
-  std::vector<const metrics::QueryRecord*> recs;
-  recs.reserve(col.records().size());
-  for (const auto& rec : col.records()) recs.push_back(&rec);
-  std::sort(recs.begin(), recs.end(),
-            [](const metrics::QueryRecord* a, const metrics::QueryRecord* b) {
-              return a->query_index < b->query_index;
-            });
-  Fnv f;
-  for (const auto* rec : recs) {
-    f.mix(rec->query_index);
-    for (const KV& kv : rec->results) {
-      f.mix(kv.id());
-      f.mix(std::bit_cast<std::uint32_t>(kv.dist));
-    }
-  }
-  return f.h;
-}
-
-std::string hex64(std::uint64_t v) {
-  char buf[17];
-  std::snprintf(buf, sizeof(buf), "%016llx",
-                static_cast<unsigned long long>(v));
-  return buf;
 }
 
 /// Bitset accepting exactly `want` rows: the `want` smallest (timestamp,
@@ -176,10 +120,11 @@ int main() {
       std::min(opts.queries == 0 ? ds.num_queries() : opts.queries,
                ds.num_queries());
 
-  BuildConfig build_cfg;  // bench_build_config() values: shared identity
-  build_cfg.degree = 32;
-  build_cfg.ef_construction = 64;
-  const Graph g = build_graph(GraphKind::kNsw, ds, build_cfg).graph;
+  const Graph g =
+      build_graph(GraphKind::kNsw, ds, bench::bench_build_config()).graph;
+  // The recall_gate configuration (topk 10), shared with bench_churn.
+  core::AlgasConfig gate = bench::algas_config(16, 128, kTopk);
+  gate.host_threads = opts.filtered_hosts;
 
   baselines::IvfBuildConfig ivf_cfg;  // nlist 0 = sqrt(n) heuristic
   const baselines::IvfIndex ivf = baselines::IvfIndex::build(ds, ivf_cfg);
@@ -192,12 +137,11 @@ int main() {
   // Null-predicate reference: the unfiltered engine, recall against the
   // cached exact ground truth, full result lists checksummed. This is the
   // byte-identity pin — it must match the pre-filter engine exactly.
-  const auto null_rep =
-      core::AlgasEngine(ds, g, gate_config(opts.filtered_hosts))
-          .run_closed_loop(nq);
-  const std::uint64_t null_checksum = results_checksum(null_rep.collector);
+  const auto null_rep = core::AlgasEngine(ds, g, gate).run_closed_loop(nq);
+  const std::string null_checksum =
+      bench::hex64(bench::results_checksum(null_rep.collector));
   std::printf("null: recall@10 %.6f | checksum %s\n", null_rep.recall,
-              hex64(null_checksum).c_str());
+              null_checksum.c_str());
 
   const std::size_t n_tiers = std::size(kTiers);
   std::vector<TierResult> tiers(n_tiers);
@@ -211,7 +155,7 @@ int main() {
 
     const auto gt = compute_filtered_ground_truth(ds, kTopk, accept);
 
-    core::AlgasConfig cfg = gate_config(opts.filtered_hosts);
+    core::AlgasConfig cfg = gate;
     cfg.search.accept = accept;
     core::AlgasEngine engine(ds, g, cfg);
     r.widened_len = engine.config().search.candidate_len;
@@ -258,42 +202,38 @@ int main() {
     if (r.graph_recall >= r.postfilter_recall) ++graph_wins;
   }
 
-  const std::uint64_t attr_checksum = attribute_checksum(ds);
-  const std::string out_path = opts.filtered_out;
-  std::ofstream out(out_path, std::ios::trunc);
-  if (!out) throw std::runtime_error("cannot write " + out_path);
-  out.setf(std::ios::fixed);
-  out.precision(10);
-  out << "{\n"
-      << "  \"bench\": \"bench_filtered\",\n"
-      << "  \"dataset\": \"" << ds_name << "\",\n"
-      << "  \"n_base\": " << n << ",\n"
-      << "  \"dim\": " << ds.dim() << ",\n"
-      << "  \"queries\": " << nq << ",\n"
-      << "  \"topk\": " << kTopk << ",\n"
-      << "  \"candidate_len\": 128,\n"
-      << "  \"attr_checksum\": \"" << hex64(attr_checksum) << "\",\n"
-      << "  \"null_results_checksum\": \"" << hex64(null_checksum) << "\",\n"
-      << "  \"graph_wins\": " << graph_wins << ",\n"
-      << "  \"variants\": {\n"
-      << "    \"null\": {\n"
-      << "      \"recall_at_10\": " << null_rep.recall << ",\n"
-      << "      \"mean_latency_us\": " << null_rep.summary.mean_service_us
-      << "\n    }";
+  bench::JsonWriter json(opts.filtered_out);
+  json.field("bench", "bench_filtered")
+      .field("dataset", ds_name)
+      .field("n_base", n)
+      .field("dim", ds.dim())
+      .field("queries", nq)
+      .field("topk", kTopk)
+      .field("candidate_len", std::size_t{128})
+      .field("attr_checksum", bench::hex64(attribute_checksum(ds)))
+      .field("null_results_checksum", null_checksum)
+      .field("graph_wins", graph_wins)
+      .object("variants")
+      .object("null")
+      .field("recall_at_10", null_rep.recall)
+      .field("mean_latency_us", null_rep.summary.mean_service_us)
+      .close();
   for (std::size_t t = 0; t < n_tiers; ++t) {
     const TierResult& r = tiers[t];
-    out << ",\n    \"graph_" << kTierNames[t] << "\": {\n"
-        << "      \"recall_at_10\": " << r.graph_recall << ",\n"
-        << "      \"accepted\": " << r.accepted << ",\n"
-        << "      \"candidate_len\": " << r.widened_len << ",\n"
-        << "      \"mean_latency_us\": " << r.graph_latency_us << "\n    }"
-        << ",\n    \"postfilter_" << kTierNames[t] << "\": {\n"
-        << "      \"recall_at_10\": " << r.postfilter_recall << ",\n"
-        << "      \"fetch\": " << r.postfilter_fetch << ",\n"
-        << "      \"mean_scanned\": " << r.postfilter_scanned << "\n    }";
+    const std::string tier = kTierNames[t];
+    json.object("graph_" + tier)
+        .field("recall_at_10", r.graph_recall)
+        .field("accepted", r.accepted)
+        .field("candidate_len", r.widened_len)
+        .field("mean_latency_us", r.graph_latency_us)
+        .close()
+        .object("postfilter_" + tier)
+        .field("recall_at_10", r.postfilter_recall)
+        .field("fetch", r.postfilter_fetch)
+        .field("mean_scanned", r.postfilter_scanned)
+        .close();
   }
-  out << "\n  },\n  \"end\": true\n}\n";
-  std::printf("wrote %s\n", out_path.c_str());
+  json.close().finish();
 
   if (graph_wins == 0) {
     std::fprintf(stderr,

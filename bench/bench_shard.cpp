@@ -8,17 +8,17 @@
 // each shard searches a smaller graph while K searches run concurrently,
 // and the host-side k-way merge + bus contention it buys stays cheap.
 //
-// CI gates three things off the JSON (scripts on bench/shard_baseline.json):
+// CI gates three things off the JSON (scripts/check_gate.py on
+// bench/shard_baseline.json):
 //   * recall: the full-fanout variant must match the baseline exactly
 //     (deterministic chain), the selective variant may trail the same-run
-//     full recall by a pinned epsilon (check_recall.py --exact full
-//     --eps selective=...).
+//     full recall by a pinned epsilon (--exact full --eps selective=...).
 //   * determinism: the bench runs twice with ALGAS_SHARD_HOSTS=1 and =4;
-//     the per-variant results_checksum (FNV-1a over merged per-query
-//     results, sorted by query index) must be byte-identical — host
-//     thread count must never leak into merged results.
-//   * wall clock: sharded_distance_evals_per_s gates through
-//     check_walltime.py (the sharded serving path is a real host hot loop).
+//     the per-variant results_checksum (bench::results_checksum over the
+//     merged per-query results) must be byte-identical — host thread
+//     count must never leak into merged results.
+//   * wall clock: sharded_distance_evals_per_s has a floor (the sharded
+//     serving path is a real host hot loop).
 //
 // Knobs (environment, same semantics as the other benches):
 //   ALGAS_SCALE        dataset size multiplier (CI gate uses 0.05)
@@ -26,12 +26,8 @@
 //   ALGAS_DATASETS     first two names are swept (default sift,gist)
 //   ALGAS_SHARD_HOSTS  host worker threads per shard engine (default 1)
 //   ALGAS_SHARD_OUT    output JSON path (default "BENCH_shard.json")
-#include <algorithm>
 #include <chrono>
-#include <cstdint>
 #include <cstdio>
-#include <cstring>
-#include <fstream>
 #include <iostream>
 #include <stdexcept>
 #include <string>
@@ -53,49 +49,12 @@ core::ShardedConfig sharded_config(std::size_t shards, std::size_t slots,
                                    std::size_t fanout,
                                    std::size_t host_threads) {
   core::ShardedConfig cfg;
-  cfg.base.search.topk = kTopk;
-  cfg.base.search.candidate_len = kCandidateLen;
-  cfg.base.search.beam_width = 4;
-  cfg.base.search.offset_beam = 24;
-  cfg.base.slots = slots;
-  cfg.base.n_parallel = 4;
+  cfg.base = bench::algas_config(slots, kCandidateLen, kTopk);
   cfg.base.host_threads = host_threads;
-  cfg.base.host_sync = core::HostSync::kPollMirrored;
   cfg.shards = shards;
   cfg.fanout = fanout;
   cfg.build = bench::bench_build_config();
   return cfg;
-}
-
-/// FNV-1a 64 over the merged per-query results in query-index order — the
-/// byte-identity fingerprint CI compares across ALGAS_SHARD_HOSTS values.
-std::uint64_t results_checksum(const metrics::Collector& c) {
-  std::vector<const metrics::QueryRecord*> recs;
-  recs.reserve(c.size());
-  for (const auto& r : c.records()) recs.push_back(&r);
-  std::sort(recs.begin(), recs.end(),
-            [](const metrics::QueryRecord* a, const metrics::QueryRecord* b) {
-              return a->query_index < b->query_index;
-            });
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  auto mix = [&h](std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      h ^= (v >> (8 * i)) & 0xffULL;
-      h *= 0x100000001b3ULL;
-    }
-  };
-  for (const auto* r : recs) {
-    mix(r->query_index);
-    mix(r->results.size());
-    for (const KV& kv : r->results) {
-      mix(kv.id());
-      std::uint32_t bits;
-      static_assert(sizeof(bits) == sizeof(kv.dist));
-      std::memcpy(&bits, &kv.dist, sizeof(bits));
-      mix(bits);
-    }
-  }
-  return h;
 }
 
 struct Row {
@@ -215,57 +174,38 @@ int main() {
 
   const Dataset& gate_ds = bench::dataset(names.front());
   const std::size_t nq = bench::query_budget(gate_ds, 100);
-  char full_hex[17], sel_hex[17];
-  std::snprintf(full_hex, sizeof(full_hex), "%016llx",
-                static_cast<unsigned long long>(
-                    results_checksum(full->rep.merged.collector)));
-  std::snprintf(sel_hex, sizeof(sel_hex), "%016llx",
-                static_cast<unsigned long long>(
-                    results_checksum(selective->rep.merged.collector)));
-
-  const std::string out_path = opts.shard_out;
-  std::ofstream out(out_path, std::ios::trunc);
-  if (!out) throw std::runtime_error("cannot write " + out_path);
-  out.setf(std::ios::fixed);
-  out.precision(10);
-  out << "{\n"
-      << "  \"bench\": \"bench_shard\",\n"
-      << "  \"dataset\": \"" << names.front() << "\",\n"
-      << "  \"n_base\": " << gate_ds.num_base() << ",\n"
-      << "  \"dim\": " << gate_ds.dim() << ",\n"
-      << "  \"queries\": " << nq << ",\n"
-      << "  \"topk\": " << kTopk << ",\n"
-      << "  \"candidate_len\": " << kCandidateLen << ",\n"
-      << "  \"shards\": 4,\n"
-      << "  \"shard_hosts\": " << host_threads << ",\n"
-      << "  \"sharded_distance_evals_per_s\": " << evals_per_s << ",\n"
-      << "  \"variants\": {\n"
-      << "    \"full\": {\n"
-      << "      \"recall_at_10\": " << full->rep.merged.recall << ",\n"
-      << "      \"mean_latency_us\": "
-      << full->rep.merged.summary.mean_service_us << ",\n"
-      << "      \"results_checksum\": \"" << full_hex << "\"\n"
-      << "    },\n"
-      << "    \"selective\": {\n"
-      << "      \"recall_at_10\": " << selective->rep.merged.recall << ",\n"
-      << "      \"mean_latency_us\": "
-      << selective->rep.merged.summary.mean_service_us << ",\n"
-      << "      \"results_checksum\": \"" << sel_hex << "\"\n"
-      << "    }\n"
-      << "  },\n"
-      << "  \"scaling\": [\n";
-  for (std::size_t i = 0; i < scaling.size(); ++i) {
-    const auto& s = scaling[i];
-    out << "    {\"dataset\": \"" << s.dataset << "\", \"slots\": 16, "
-        << "\"qps\": [";
-    for (std::size_t j = 0; j < s.qps.size(); ++j) {
-      out << s.qps[j] << (j + 1 < s.qps.size() ? ", " : "");
-    }
-    out << "], \"monotonic\": " << (s.monotonic ? "true" : "false") << "}"
-        << (i + 1 < scaling.size() ? "," : "") << "\n";
+  bench::JsonWriter json(opts.shard_out);
+  json.field("bench", "bench_shard")
+      .field("dataset", names.front())
+      .field("n_base", gate_ds.num_base())
+      .field("dim", gate_ds.dim())
+      .field("queries", nq)
+      .field("topk", kTopk)
+      .field("candidate_len", kCandidateLen)
+      .field("shards", std::size_t{4})
+      .field("shard_hosts", host_threads)
+      .field("sharded_distance_evals_per_s", evals_per_s)
+      .object("variants");
+  const auto variant = [&json](const char* key, const Row& row) {
+    const std::string checksum =
+        bench::hex64(bench::results_checksum(row.rep.merged.collector));
+    json.object(key)
+        .field("recall_at_10", row.rep.merged.recall)
+        .field("mean_latency_us", row.rep.merged.summary.mean_service_us)
+        .field("results_checksum", checksum)
+        .close();
+  };
+  variant("full", *full);
+  variant("selective", *selective);
+  json.close().array("scaling");
+  for (const auto& s : scaling) {
+    json.object()
+        .field("dataset", s.dataset)
+        .field("slots", std::size_t{16})
+        .array("qps");
+    for (const double q : s.qps) json.field({}, q);
+    json.close().field("monotonic", s.monotonic).close();
   }
-  out << "  ],\n"
-      << "  \"end\": true\n}\n";
-  std::fprintf(stderr, "[bench] wrote %s\n", out_path.c_str());
+  json.close().finish();
   return 0;
 }

@@ -19,9 +19,8 @@
 //
 // Prints a TSV block (like every bench) and writes a JSON summary to
 // ALGAS_WALLTIME_OUT (default "BENCH_walltime.json") for CI regression
-// checks (scripts/check_walltime.py).
+// checks (scripts/check_gate.py).
 #include <chrono>
-#include <fstream>
 #include <iostream>
 #include <stdexcept>
 #include <string>
@@ -175,38 +174,28 @@ int main() {
   }
   table.print(std::cout);
 
-  const std::string out_path = RuntimeOptions::from_env().walltime_out;
-  std::ofstream out(out_path, std::ios::trunc);
-  if (!out) throw std::runtime_error("cannot write " + out_path);
-  out.setf(std::ios::fixed);
-  out.precision(4);  // enough for scale fractions and sub-second walls
-  out << "{\n"
-      << "  \"bench\": \"walltime\",\n"
-      << "  \"dataset\": \"" << ds_name << "\",\n"
-      << "  \"n_base\": " << n << ",\n"
-      << "  \"dim\": " << ds.dim() << ",\n"
-      << "  \"storage\": \"" << storage_codec_name(ds.storage()) << "\",\n"
-      << "  \"scale\": " << dataset_scale() << ",\n"
-      << "  \"engine_recall\": " << engine_recall << ",\n"
-      << "  \"sim_events_per_s\": " << sim_events_per_s << ",\n"
-      << "  \"construction_insertions_per_s\": " << construction_ips << ",\n"
-      << "  \"construction_speedup\": " << construction_speedup << ",\n"
-      << "  \"construction_parallel_wall_s\": " << construction_parallel_wall_s
-      << ",\n"
-      << "  \"construction_link_evals\": " << construction_link_evals << ",\n";
-  for (std::size_t i = 0; i < sections.size(); ++i) {
-    const auto& s = sections[i];
-    out << "  \"" << s.name << "_wall_s\": " << s.wall_s << ",\n";
+  bench::JsonWriter json(RuntimeOptions::from_env().walltime_out);
+  json.field("bench", "walltime")
+      .field("dataset", ds_name)
+      .field("n_base", n)
+      .field("dim", ds.dim())
+      .field("storage", storage_codec_name(ds.storage()))
+      .field("scale", dataset_scale())
+      .field("engine_recall", engine_recall)
+      .field("sim_events_per_s", sim_events_per_s)
+      .field("construction_insertions_per_s", construction_ips)
+      .field("construction_speedup", construction_speedup)
+      .field("construction_parallel_wall_s", construction_parallel_wall_s)
+      .field("construction_link_evals", construction_link_evals);
+  for (const auto& s : sections) {
+    json.field(s.name + "_wall_s", s.wall_s);
     if (s.evals_per_s > 0.0) {
-      out << "  \"" << s.name
-          << "_distance_evals_per_s\": " << s.evals_per_s << ",\n";
+      json.field(s.name + "_distance_evals_per_s", s.evals_per_s);
     }
     if (s.queries_per_s > 0.0) {
-      out << "  \"" << s.name << "_queries_per_s\": " << s.queries_per_s
-          << ",\n";
+      json.field(s.name + "_queries_per_s", s.queries_per_s);
     }
   }
-  out << "  \"end\": true\n}\n";
-  std::cerr << "[bench] wrote " << out_path << "\n";
+  json.finish();
   return 0;
 }

@@ -306,33 +306,44 @@ void CtaActor::step(sim::Simulation& sim) {
   switch (st) {
     case SlotState::kWork: {
       SlotRuntime& rt = run_.slots[slot_];
-      if (!active_) {
-        active_ = true;
-        // Start-of-query: load query to shared memory, clear this CTA's
-        // share of the visited bitmap (§IV-B step 1), seed the entry point.
-        const std::size_t words =
-            visited_clear_words(run_.ds.num_base(), run_.plan.n_parallel);
-        elapsed += cm.cta_start_ns +
-                   static_cast<double>(words) * cm.bitmap_clear_per_word_ns;
-        search_.reset(run_.ds.query(rt.query_index), rt.entries[cta_],
-                      &rt.visited);
+      // select_entry_points returns min(n_parallel, n) entries, so on a
+      // graph smaller than the CTA count the surplus CTAs have no entry
+      // point. Such a CTA flags Finish at once; its stripe of the result
+      // buffer stays KV::empty() from dispatch.
+      bool finished = true;
+      if (cta_ < rt.entries.size()) {
+        if (!active_) {
+          active_ = true;
+          // Start-of-query: load query to shared memory, clear this CTA's
+          // share of the visited bitmap (§IV-B step 1), seed the entry
+          // point.
+          const std::size_t words =
+              visited_clear_words(run_.ds.num_base(), run_.plan.n_parallel);
+          elapsed += cm.cta_start_ns +
+                     static_cast<double>(words) * cm.bitmap_clear_per_word_ns;
+          search_.reset(run_.ds.query(rt.query_index), rt.entries[cta_],
+                        &rt.visited);
+        }
+        search::StepCost cost;
+        if (search_.step(cost)) {
+          elapsed += cost.total_ns();
+          rt.gpu_cost += cost;
+        }
+        finished = search_.done();
+        if (finished) {
+          // Push this CTA's sorted list into the slot's contiguous result
+          // block.
+          const auto cand = search_.candidates();
+          std::copy(cand.begin(), cand.end(),
+                    rt.result_buffer.begin() + cta_ * run_.run_len);
+          elapsed += static_cast<double>(cand.size()) *
+                     cm.result_write_per_entry_ns;
+          rt.steps += search_.stats().expanded_points;
+          rt.rounds += search_.stats().rounds;
+          rt.scored += search_.stats().scored_points;
+        }
       }
-      search::StepCost cost;
-      if (search_.step(cost)) {
-        elapsed += cost.total_ns();
-        rt.gpu_cost += cost;
-      }
-      if (search_.done()) {
-        // Push this CTA's sorted list into the slot's contiguous result
-        // block, then flag Finish.
-        const auto cand = search_.candidates();
-        std::copy(cand.begin(), cand.end(),
-                  rt.result_buffer.begin() + cta_ * run_.run_len);
-        elapsed += static_cast<double>(cand.size()) *
-                   cm.result_write_per_entry_ns;
-        rt.steps += search_.stats().expanded_points;
-        rt.rounds += search_.stats().rounds;
-        rt.scored += search_.stats().scored_points;
+      if (finished) {
         // Base time, not sim.now()+elapsed: StateSync advances by *elapsed
         // itself, and state write-throughs are control-plane posts whose
         // cost is independent of the issue instant, so the stamp choice

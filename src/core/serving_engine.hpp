@@ -49,14 +49,9 @@ struct ServingReport {
   /// what the serving gate checksums.
   std::vector<PendingQuery> arrivals;
   /// Offered load: arrivals per second of the workload's arrival span.
+  /// Goodput, shed rate, deadline-miss rate and tail latency are in
+  /// sharded.merged.summary.
   double offered_qps = 0.0;
-  // Convenience copies of the headline serving metrics
-  // (== sharded.merged.summary fields).
-  double goodput_qps = 0.0;
-  double shed_rate = 0.0;
-  double deadline_miss_rate = 0.0;
-  double p99_latency_us = 0.0;
-  double p999_latency_us = 0.0;
 };
 
 class ServingEngine {

@@ -9,6 +9,18 @@ namespace algas {
 
 namespace {
 
+/// Bytes between the read position and the end of the stream: every
+/// length a file declares is checked against it before anything is
+/// allocated, so a corrupt header cannot ask for gigabytes.
+std::uint64_t bytes_left(std::istream& in) {
+  const auto pos = in.tellg();
+  in.seekg(0, std::ios::end);
+  const auto end = in.tellg();
+  in.seekg(pos);
+  if (pos < 0 || end < pos) throw std::runtime_error("unseekable input");
+  return static_cast<std::uint64_t>(end - pos);
+}
+
 template <typename T>
 std::vector<T> read_xvecs(const std::string& path, std::size_t& dim_out) {
   std::ifstream in(path, std::ios::binary);
@@ -17,19 +29,27 @@ std::vector<T> read_xvecs(const std::string& path, std::size_t& dim_out) {
   std::vector<T> rows;
   dim_out = 0;
   std::int32_t dim = 0;
+  std::uint64_t left = bytes_left(in);
   while (in.read(reinterpret_cast<char*>(&dim), sizeof(dim))) {
+    left -= sizeof(dim);
     if (dim <= 0) throw std::runtime_error("bad row dimension in " + path);
     if (dim_out == 0) {
       dim_out = static_cast<std::size_t>(dim);
     } else if (dim_out != static_cast<std::size_t>(dim)) {
       throw std::runtime_error("ragged rows in " + path);
     }
+    const std::uint64_t row_bytes = sizeof(T) * static_cast<std::uint64_t>(dim);
+    if (row_bytes > left) {
+      throw std::runtime_error("row of " + std::to_string(dim) +
+                               " elements exceeds the bytes left in " + path);
+    }
     const std::size_t old = rows.size();
     rows.resize(old + static_cast<std::size_t>(dim));
     if (!in.read(reinterpret_cast<char*>(rows.data() + old),
-                 static_cast<std::streamsize>(sizeof(T) * dim))) {
+                 static_cast<std::streamsize>(row_bytes))) {
       throw std::runtime_error("truncated row in " + path);
     }
+    left -= row_bytes;
   }
   return rows;
 }
@@ -82,6 +102,10 @@ template <typename T>
 std::vector<T> read_vec(std::ifstream& in) {
   std::uint64_t n = 0;
   read_pod(in, n);
+  if (n > bytes_left(in) / sizeof(T)) {
+    throw std::runtime_error("dataset payload of " + std::to_string(n) +
+                             " elements exceeds the file size");
+  }
   std::vector<T> v(n);
   if (n > 0 &&
       !in.read(reinterpret_cast<char*>(v.data()),
@@ -143,6 +167,9 @@ Dataset load_dataset(const std::string& path) {
   }
   std::uint64_t name_len = 0;
   read_pod(in, name_len);
+  if (name_len > bytes_left(in)) {
+    throw std::runtime_error("dataset name exceeds the file size: " + path);
+  }
   std::string name(name_len, '\0');
   if (!in.read(name.data(), static_cast<std::streamsize>(name_len))) {
     throw std::runtime_error("truncated dataset name");
@@ -153,11 +180,24 @@ Dataset load_dataset(const std::string& path) {
   read_pod(in, dim);
   read_pod(in, metric);
   read_pod(in, gt_k);
+  if (metric > static_cast<std::uint32_t>(Metric::kCosine)) {
+    throw std::runtime_error("unknown metric " + std::to_string(metric) +
+                             " in dataset file: " + path);
+  }
+  if (dim == 0) throw std::runtime_error("zero dimension in " + path);
 
   Dataset ds(name, dim, static_cast<Metric>(metric));
   ds.mutable_base() = read_vec<float>(in);
   ds.mutable_queries() = read_vec<float>(in);
+  if (ds.base().size() % dim != 0 || ds.queries().size() % dim != 0) {
+    throw std::runtime_error("base or query payload is not whole rows of dim " +
+                             std::to_string(dim) + " in " + path);
+  }
   auto gt = read_vec<NodeId>(in);
+  if (gt.size() != ds.num_queries() * gt_k) {
+    throw std::runtime_error("ground truth is not " + std::to_string(gt_k) +
+                             " ids per query in " + path);
+  }
   if (gt_k > 0) ds.set_ground_truth(std::move(gt), gt_k);
   char attr_magic[8];
   if (in.read(attr_magic, sizeof(attr_magic))) {

@@ -17,7 +17,7 @@
 // decoding the row into floats and running the f32 kernel on it — the
 // property the VectorStore tests pin. Quantized results are NOT bitwise-
 // equal to f32 scoring of the original rows; that gap is what the recall
-// gate (tools/recall_gate + scripts/check_recall.py) bounds.
+// gate (bench/recall_gate + scripts/check_gate.py) bounds.
 #pragma once
 
 #include <cstddef>

@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
 #include <filesystem>
+#include <fstream>
 #include <string>
 
 #include "dataset/dataset.hpp"
@@ -16,6 +18,15 @@ namespace {
 
 std::string temp_path(const std::string& name) {
   return (std::filesystem::temp_directory_path() / name).string();
+}
+
+/// Overwrite sizeof(T) bytes at `offset` of an existing file with `v`.
+template <typename T>
+void patch_file(const std::string& path, std::size_t offset, T v) {
+  std::fstream f(path, std::ios::binary | std::ios::in | std::ios::out);
+  f.seekp(static_cast<std::streamoff>(offset));
+  f.write(reinterpret_cast<const char*>(&v), sizeof(v));
+  ASSERT_TRUE(f.good());
 }
 
 // ---------------- synthetic.hpp ----------------
@@ -235,6 +246,78 @@ TEST(Io, TexmexGtOutOfRangeRejected) {
   std::remove(base_p.c_str());
   std::remove(query_p.c_str());
   std::remove(gt_p.c_str());
+}
+
+/// A saved attribute-free dataset (64 x 12 rows, 8 queries, gt depth 5) and
+/// the byte offsets of its header fields: magic, name length, name, dim,
+/// metric, gt_k, then the length-prefixed base payload.
+struct SavedDataset {
+  std::string path;
+  std::size_t dim_at = 0, metric_at = 0, gt_k_at = 0, base_len_at = 0;
+};
+
+SavedDataset save_small_dataset(const std::string& file) {
+  SyntheticSpec spec;
+  spec.num_base = 64;
+  spec.num_queries = 8;
+  spec.dim = 12;
+  spec.name = "hardening";
+  Dataset ds = make_synthetic(spec);
+  ds.clear_attributes();  // no trailer: its size check cannot catch a bad dim
+  compute_ground_truth(ds, 5);
+  SavedDataset s;
+  s.path = temp_path(file);
+  save_dataset(ds, s.path);
+  s.dim_at = 8 + 8 + spec.name.size();
+  s.metric_at = s.dim_at + 8;
+  s.gt_k_at = s.metric_at + 4;
+  s.base_len_at = s.gt_k_at + 8;
+  return s;
+}
+
+TEST(Io, DatasetRejectsUnknownMetric) {
+  const SavedDataset s = save_small_dataset("algas_metric.abin");
+  ASSERT_NO_THROW(load_dataset(s.path));
+  patch_file(s.path, s.metric_at, std::uint32_t{9});
+  EXPECT_THROW(load_dataset(s.path), std::runtime_error);
+  std::remove(s.path.c_str());
+}
+
+TEST(Io, DatasetRejectsLengthPastEndOfFileBeforeAllocating) {
+  // 2^40 floats would be 4 TiB: the length must be checked against the
+  // bytes left, not handed to the allocator (std::bad_alloc).
+  const SavedDataset s = save_small_dataset("algas_len.abin");
+  patch_file(s.path, s.base_len_at, std::uint64_t{1} << 40);
+  EXPECT_THROW(load_dataset(s.path), std::runtime_error);
+  std::remove(s.path.c_str());
+}
+
+TEST(Io, DatasetRejectsPayloadThatIsNotWholeRows) {
+  const SavedDataset s = save_small_dataset("algas_shape.abin");
+  patch_file(s.path, s.dim_at, std::uint64_t{7});  // 768 floats % 7 != 0
+  EXPECT_THROW(load_dataset(s.path), std::runtime_error);
+  patch_file(s.path, s.dim_at, std::uint64_t{12});
+  ASSERT_NO_THROW(load_dataset(s.path));
+  patch_file(s.path, s.gt_k_at, std::uint64_t{6});  // 40 ids != 8 x 6
+  EXPECT_THROW(load_dataset(s.path), std::runtime_error);
+  std::remove(s.path.c_str());
+}
+
+TEST(Io, XvecsRejectsRowPastEndOfFileBeforeAllocating) {
+  const std::string path = temp_path("algas_long_row.fvecs");
+  write_fvecs(path, {1.0f, 2.0f}, 2);
+  patch_file(path, 0, std::int32_t{1} << 24);  // declares a 64 MiB row
+  std::size_t dim = 0;
+  try {
+    read_fvecs(path, dim);
+    ADD_FAILURE() << "a row longer than the file was accepted";
+  } catch (const std::runtime_error& e) {
+    // "exceeds": rejected from the header, not after resizing to 2^24
+    // floats and failing the read ("truncated row").
+    EXPECT_NE(std::string(e.what()).find("exceeds"), std::string::npos)
+        << e.what();
+  }
+  std::remove(path.c_str());
 }
 
 TEST(Io, RejectsWrongMagic) {

@@ -1,6 +1,6 @@
 // Recall-gate semantics on a tiny deterministic dataset: pinned recall@10
 // per storage codec under the Fig 10/11 engine configuration, plus the
-// ordering the CI gate (scripts/check_recall.py) relies on — quantization
+// ordering the CI gate (scripts/check_gate.py) relies on — quantization
 // only ever loses recall, and the loss is bounded and reproducible.
 //
 // The pins are exact to double precision (EXPECT_DOUBLE_EQ): the sim is
@@ -17,7 +17,7 @@
 namespace algas {
 namespace {
 
-/// The Fig 10/11 configuration the CI gate (tools/recall_gate) runs.
+/// The Fig 10/11 configuration the CI gate (bench/recall_gate) runs.
 core::AlgasConfig gate_config() {
   core::AlgasConfig cfg;
   cfg.search.topk = 10;

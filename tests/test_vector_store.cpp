@@ -9,7 +9,7 @@
 //   * accuracy — quantized vs the ORIGINAL floats is lossy by design, so
 //     round-trip tests assert analytic error bounds (half-ulp for f16,
 //     scale/2 for int8). Recall impact is gated separately by
-//     tools/recall_gate + scripts/check_recall.py.
+//     bench/recall_gate + scripts/check_gate.py.
 #include <gtest/gtest.h>
 
 #include <bit>

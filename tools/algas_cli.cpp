@@ -648,9 +648,9 @@ int cmd_serve(const Args& args) {
   std::printf("serving: goodput %.0f qps | shed %.1f%% (%zu queue, %zu "
               "deadline, %zu evicted) | deadline miss %.1f%% | latency "
               "p99 %.1fus p999 %.1fus\n",
-              rep.goodput_qps, 100.0 * rep.shed_rate, s.shed_queue,
-              s.shed_deadline, s.evicted, 100.0 * rep.deadline_miss_rate,
-              rep.p99_latency_us, rep.p999_latency_us);
+              s.goodput_qps, 100.0 * s.shed_rate, s.shed_queue,
+              s.shed_deadline, s.evicted, 100.0 * s.deadline_miss_rate,
+              s.p99_latency_us, s.p999_latency_us);
   return 0;
 }
 
