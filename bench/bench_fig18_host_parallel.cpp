@@ -29,7 +29,8 @@ int main() {
       for (bool mirrored : {false, true}) {
         auto cfg = bench::algas_config(kBatch, kList, 16, 2);
         cfg.host_threads = hosts;
-        cfg.host_sync = mirrored ? core::HostSync::kPollMirrored : core::HostSync::kPollNaive;
+        cfg.host_sync = mirrored ? core::HostSync::kPollMirrored
+                                 : core::HostSync::kPollNaive;
         core::AlgasEngine engine(ds, g, cfg);
         const auto rep = engine.run_closed_loop(nq);
         table.row()

@@ -115,8 +115,8 @@ core::EngineReport StaticBatchEngine::run(
     results.reserve(batch_n);
     for (std::size_t b = 0; b < batch_n; ++b) {
       auto res = search::multi_cta_search(
-          ds_, g_, cm, cfg_.search, n_parallel_, ds_.query(batch[b].query_index),
-          batch[b].query_index, cfg_.seed);
+          ds_, g_, cm, cfg_.search, n_parallel_,
+          ds_.query(batch[b].query_index), batch[b].query_index, cfg_.seed);
       for (std::size_t t = 0; t < res.per_cta_ns.size(); ++t) {
         tasks.push_back({b, res.per_cta_ns[t]});
       }

@@ -47,12 +47,16 @@ class Bitset {
 
   std::size_t count() const {
     std::size_t total = 0;
-    for (auto w : words_) total += static_cast<std::size_t>(__builtin_popcountll(w));
+    for (auto w : words_) {
+      total += static_cast<std::size_t>(__builtin_popcountll(w));
+    }
     return total;
   }
 
   /// Bytes of backing storage — used by the shared-memory accountant.
-  std::size_t byte_size() const { return words_.size() * sizeof(std::uint64_t); }
+  std::size_t byte_size() const {
+    return words_.size() * sizeof(std::uint64_t);
+  }
 
  private:
   std::size_t bits_ = 0;

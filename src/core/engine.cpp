@@ -208,7 +208,8 @@ struct RunState {
   std::uint64_t worker_steps ALGAS_OWNED_BY(HostWorker) = 0;
   double worker_busy_ns ALGAS_OWNED_BY(HostWorker) = 0.0;
   TraceLanes trace;
-  std::size_t in_flight ALGAS_OWNED_BY(HostWorker) = 0;  // dispatched, undelivered
+  // Dispatched, not yet delivered.
+  std::size_t in_flight ALGAS_OWNED_BY(HostWorker) = 0;
   /// Non-null iff the run has a bounded admission queue: arrivals then flow
   /// through the actor at their arrival instants instead of being
   /// pre-loaded, so workload exhaustion must also wait for it.
@@ -385,10 +386,13 @@ void CtaActor::step(sim::Simulation& sim) {
     case SlotState::kFinish:
     case SlotState::kDone:
     case SlotState::kExpired:
-      // Idle polling between queries (the cost dynamic batching pays
-      // instead of kernel relaunches). Expired is host-owned just like
-      // Done: the CTA waits for the host to recycle or retire the slot.
-      sim.schedule(this, sim.now() + elapsed + cm.cta_poll_interval_ns);
+      // Idle between queries: the persistent kernel polls every
+      // cta_poll_interval_ns (the cost dynamic batching pays instead of
+      // kernel relaunches) until the host writes Work or Quit. Expired is
+      // host-owned just like Done. Park on that poll grid instead of
+      // stepping each poll: the host's write wakes this CTA at the grid
+      // instant whose poll first sees it (StateSync::set_waker).
+      sim.park(this, {elapsed, cm.cta_poll_interval_ns});
       return;
   }
 }
@@ -858,6 +862,9 @@ struct EngineRun::Impl {
         run->sim.schedule(run->ctas.back().get(), start);
       }
     }
+    run->sync.set_waker([r = run.get()](std::size_t s, std::size_t c) {
+      return r->sim.wake(r->ctas[s * r->plan.n_parallel + c].get());
+    });
 
     // Host workers: slots round-robin across threads (§V-B).
     std::vector<std::vector<std::size_t>> owned(cfg.host_threads);
@@ -913,6 +920,7 @@ struct EngineRun::Impl {
       tracer->save(sim::trace_default_path());
     }
     rep.host_polls = run->sync.host_polls();
+    rep.device_polls = run->sync.device_polls();
     rep.interrupts = run->interrupts;
     rep.host_worker_steps = run->worker_steps;
     rep.host_busy_ns = run->worker_busy_ns;

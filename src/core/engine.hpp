@@ -95,6 +95,9 @@ struct EngineReport {
   std::uint64_t pcie_state_write_transactions = 0;
   std::uint64_t pcie_bytes = 0;
   std::uint64_t host_polls = 0;
+  /// CTA state polls the model makes: one per CTA step, plus the polls a
+  /// parked CTA skipped, credited when it is woken.
+  std::uint64_t device_polls = 0;
   std::uint64_t interrupts = 0;  ///< completion interrupts (blocking mode)
   std::uint64_t host_worker_steps = 0;
   double host_busy_ns = 0.0;  ///< summed host-thread busy time
@@ -104,6 +107,8 @@ struct EngineReport {
   double cta_busy_ns = 0.0;
   std::size_t cta_count = 0;
   TunePlan plan;
+  /// Events the simulation stepped. Parked CTAs' skipped polls are not
+  /// events; device_polls counts them.
   std::uint64_t sim_events = 0;
   /// Queue entries the simulation popped and discarded because the actor
   /// was re-scheduled/cancelled after they were pushed (token mismatch).

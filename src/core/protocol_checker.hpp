@@ -52,6 +52,10 @@ class ProtocolChecker {
   void on_read(Side side, SimTime t, std::size_t slot, std::size_t cta,
                SlotState observed);
 
+  /// Device polls a parked CTA skipped: they read its word unchanged and
+  /// stay local, so they only count toward reads_observed().
+  void credit_reads(std::uint64_t n) { reads_observed_ += n; }
+
   /// StateSync write hook, called BEFORE the transition is applied or any
   /// traffic issued — an illegal write reports before its side effects.
   void pre_write(Side side, SimTime t, std::size_t slot, std::size_t cta,

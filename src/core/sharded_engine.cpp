@@ -403,6 +403,7 @@ ShardedReport ShardedEngine::run(const std::vector<PendingQuery>& arrivals) {
     m.pcie_state_write_transactions += r.pcie_state_write_transactions;
     m.pcie_bytes += r.pcie_bytes;
     m.host_polls += r.host_polls;
+    m.device_polls += r.device_polls;
     m.interrupts += r.interrupts;
     m.host_worker_steps += r.host_worker_steps;
     m.host_busy_ns += r.host_busy_ns;

@@ -65,10 +65,16 @@ void StateSync::host_write(SimTime now, std::size_t slot, std::size_t cta,
     checker_->post_write(Side::kHost, now + *elapsed, slot, cta, next);
   }
   trace_transition(Side::kHost, now + *elapsed, slot, cta, prev, next);
+  if (waker_ && (next == SlotState::kWork || next == SlotState::kQuit)) {
+    const std::uint64_t skipped = waker_(slot, cta);
+    device_polls_ += skipped;
+    if (checker_) checker_->credit_reads(skipped);
+  }
 }
 
 SlotState StateSync::device_read(SimTime now, std::size_t slot,
                                  std::size_t cta, double* elapsed) {
+  ++device_polls_;
   *elapsed += cm_.poll_local_ns;  // kernel polls its own memory
   const SlotState s = at(slot, cta);
   if (checker_) {

@@ -16,6 +16,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <vector>
 
 #include "common/ownership.hpp"
@@ -50,6 +51,15 @@ class StateSync {
     trace_tid_base_ = slot_tid_base;
   }
 
+  /// Wakes the device poller parked on one word and returns how many of
+  /// its polls the park skipped (0 when it was not parked).
+  using Waker = std::function<std::uint64_t(std::size_t slot, std::size_t cta)>;
+
+  /// Install the waker (empty = none). host_write() calls it on every
+  /// write of Work or Quit — the states a parked CTA waits for — and
+  /// credits the skipped polls to device_polls() and the checker.
+  void set_waker(Waker waker) { waker_ = std::move(waker); }
+
   /// Cost-free state inspection (no polling cost, no counters). For
   /// checker drain reports and tests only — engines must poll.
   SlotState peek(std::size_t slot, std::size_t cta) const {
@@ -82,6 +92,9 @@ class StateSync {
                          double* elapsed);
 
   std::uint64_t host_polls() const { return host_polls_; }
+  /// Device polls modeled: device_read() calls plus the polls parked CTAs
+  /// skipped.
+  std::uint64_t device_polls() const { return device_polls_; }
   std::uint64_t state_transitions() const { return transitions_; }
 
  private:
@@ -95,6 +108,7 @@ class StateSync {
 
   sim::Channel* channel_;
   ProtocolChecker* checker_ = nullptr;
+  Waker waker_;
   sim::Tracer* trace_ = nullptr;
   int trace_pid_ = 0;
   int trace_tid_base_ = 0;
@@ -107,6 +121,7 @@ class StateSync {
   /// — the epoch is the slot state machine itself.
   std::vector<SlotState> states_ ALGAS_GUARDED_BY_EPOCH(StateSync);
   std::uint64_t host_polls_ ALGAS_OWNED_BY(StateSync) = 0;
+  std::uint64_t device_polls_ ALGAS_OWNED_BY(StateSync) = 0;
   std::uint64_t transitions_ ALGAS_OWNED_BY(StateSync) = 0;
 };
 

@@ -104,14 +104,15 @@ void attach_synthetic_attributes(Dataset& ds, const AttributeSpec& spec) {
   for (std::size_t i = 0; i < n; ++i) {
     // Two independent lanes off one (seed, id) hash chain; the salts keep
     // category and timestamp decorrelated.
-    const std::uint64_t h = splitmix64(spec.seed ^ (0x9e3779b97f4a7c15ULL +
-                                                    static_cast<std::uint64_t>(i)));
+    const std::uint64_t h = splitmix64(
+        spec.seed ^ (0x9e3779b97f4a7c15ULL + static_cast<std::uint64_t>(i)));
     cats[i] = static_cast<std::uint32_t>(
         splitmix64(h ^ 0xC47E60121ULL) %
         static_cast<std::uint64_t>(std::max<std::size_t>(spec.categories, 1)));
     ts[i] = static_cast<std::uint32_t>(
         splitmix64(h ^ 0x7157A3BULL) %
-        static_cast<std::uint64_t>(std::max<std::uint32_t>(spec.timestamp_range, 1)));
+        static_cast<std::uint64_t>(
+            std::max<std::uint32_t>(spec.timestamp_range, 1)));
   }
   ds.set_attributes(std::move(cats), std::move(ts));
 }

@@ -258,9 +258,10 @@ void distance_batch_range_i8(Metric m, std::span<const float> query,
                              std::size_t dim, std::size_t first,
                              std::size_t count, std::span<float> out,
                              std::span<const float> base_norms) {
-  batch_range(m, query, dim, first, count, out, base_norms, [&](std::size_t row) {
-    return I8Row{base + row * dim, row_scales[row]};
-  });
+  batch_range(m, query, dim, first, count, out, base_norms,
+              [&](std::size_t row) {
+                return I8Row{base + row * dim, row_scales[row]};
+              });
 }
 
 }  // namespace algas

@@ -38,7 +38,8 @@ void IntraCtaSearch::reset(std::span<const float> query, NodeId entry,
   // Degenerate serving views (empty graph, no published entry yet) hand an
   // invalid entry here; terminate with an empty list instead of scoring an
   // out-of-range row.
-  if (entry == kInvalidNode || static_cast<std::size_t>(entry) >= g_.num_nodes()) {
+  if (entry == kInvalidNode ||
+      static_cast<std::size_t>(entry) >= g_.num_nodes()) {
     done_ = true;
     return;
   }

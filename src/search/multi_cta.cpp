@@ -14,7 +14,8 @@ std::vector<NodeId> select_entry_points(const Graph& g, std::size_t count,
   const std::size_t n = g.num_nodes();
   if (n == 0) return entries;  // empty graph: nothing to enter
   entries.push_back(g.entry_point());
-  std::uint64_t h = splitmix64(seed ^ (0x9e37u + query_index * 0x100000001b3ULL));
+  std::uint64_t h =
+      splitmix64(seed ^ (0x9e37u + query_index * 0x100000001b3ULL));
   while (entries.size() < count && entries.size() < n) {
     h = splitmix64(h);
     const auto candidate = static_cast<NodeId>(h % n);

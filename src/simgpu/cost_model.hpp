@@ -128,7 +128,8 @@ struct CostModel {
                            std::size_t elem_bytes = sizeof(float)) const {
     const double chunks = static_cast<double>(
         ceil_div(dim * elem_bytes, warp * sizeof(float)));
-    return static_cast<double>(n_points) * (dist_base_ns + dist_chunk_ns * chunks);
+    return static_cast<double>(n_points) *
+           (dist_base_ns + dist_chunk_ns * chunks);
   }
 
   /// Full bitonic sort of n elements (n a power of two) by one warp:
@@ -151,7 +152,8 @@ struct CostModel {
 
   /// Scan of the candidate list for the best unvisited entry.
   double select_ns(std::size_t list_len, std::size_t warp = 32) const {
-    return static_cast<double>(ceil_div(list_len, warp)) * select_per_wavefront_ns;
+    return static_cast<double>(ceil_div(list_len, warp)) *
+           select_per_wavefront_ns;
   }
 
   /// On-GPU divide-and-conquer merge of `runs` sorted runs of length `len`
@@ -182,7 +184,8 @@ struct CostModel {
 
   /// Link occupancy of one transaction (what serializes on the channel).
   double transfer_occupancy_ns(std::size_t bytes) const {
-    return pcie_txn_overhead_ns + static_cast<double>(bytes) / pcie_bytes_per_ns;
+    return pcie_txn_overhead_ns +
+           static_cast<double>(bytes) / pcie_bytes_per_ns;
   }
 
   /// Host-bus occupancy of one data-plane transaction (what serializes on

@@ -31,7 +31,9 @@ struct SharedMemoryLayout {
   /// larger fanouts).
   std::size_t elem_bytes ALGAS_IMMUTABLE_AFTER_PUBLISH = sizeof(float);
 
-  std::size_t candidate_bytes() const { return candidate_entries * kListEntryBytes; }
+  std::size_t candidate_bytes() const {
+    return candidate_entries * kListEntryBytes;
+  }
   std::size_t expand_bytes() const { return expand_entries * kListEntryBytes; }
   std::size_t query_bytes() const { return dim * elem_bytes; }
   /// Slot state word + cursor/bookkeeping scalars kept per block.

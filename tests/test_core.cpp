@@ -4,6 +4,7 @@
 #include <functional>
 #include <set>
 #include <string>
+#include <vector>
 
 #include "core/engine.hpp"
 #include "core/protocol_checker.hpp"
@@ -321,6 +322,33 @@ TEST(ProtocolChecker, LegalLifecycleRunsClean) {
     EXPECT_GT(cs.check.checks_performed(), 20u);
     EXPECT_EQ(cs.protocol.writes_observed(), 8u);
   }
+}
+
+TEST(ProtocolChecker, WakerCreditsSkippedPollsOnWorkAndQuitOnly) {
+  // The host-write hook wakes the word's parked poller on Work and Quit
+  // only; the polls its park skipped count as device polls and as reads
+  // the checker observed, without any channel traffic.
+  CheckedSync cs(1, 1, /*mirrored=*/true);
+  std::vector<SlotState> woken_on;
+  cs.sync.set_waker([&](std::size_t slot, std::size_t cta) {
+    EXPECT_EQ(slot, 0u);
+    EXPECT_EQ(cta, 0u);
+    woken_on.push_back(cs.sync.peek(slot, cta));
+    return std::uint64_t{7};
+  });
+  double e = 0.0;
+  double t = 0.0;
+  cs.sync.host_write(t, 0, 0, SlotState::kWork, &e);
+  cs.sync.device_read(t += 10, 0, 0, &e);
+  cs.sync.device_write(t += 10, 0, 0, SlotState::kFinish, &e);
+  cs.sync.host_write(t += 10, 0, 0, SlotState::kDone, &e);
+  cs.sync.host_write(t += 10, 0, 0, SlotState::kQuit, &e);
+  EXPECT_EQ(woken_on,
+            (std::vector<SlotState>{SlotState::kWork, SlotState::kQuit}));
+  EXPECT_EQ(cs.sync.device_polls(), 1u + 2u * 7u);
+  EXPECT_EQ(cs.protocol.reads_observed(), 1u + 2u * 7u);
+  EXPECT_EQ(cs.ch.counters(sim::Xfer::kStatePoll).transactions, 0u);
+  EXPECT_NO_THROW(cs.protocol.finalize(t));
 }
 
 TEST(ProtocolChecker, DeviceWriteOfHostOwnedWordIsRace) {

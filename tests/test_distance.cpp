@@ -63,7 +63,8 @@ TEST(Distance, MetricNames) {
 // kernel for every metric, dimension shape (smaller, equal, larger, and
 // non-multiples of the lane count), and lane width.
 class LaneEquivalence
-    : public ::testing::TestWithParam<std::tuple<Metric, std::size_t, std::size_t>> {};
+    : public ::testing::TestWithParam<
+          std::tuple<Metric, std::size_t, std::size_t>> {};
 
 TEST_P(LaneEquivalence, MatchesScalarKernel) {
   const auto [metric, dim, lanes] = GetParam();

@@ -1,10 +1,13 @@
 // Golden pins for the engine's event-level behaviour. Each case hashes every
 // record a run delivers (query index, disposition, the four timestamps,
 // result ids and distance bits) with FNV-1a and pins it together with the
-// run's host-poll and channel-transaction counts. The values were recorded
-// from the engine that steps every idle CTA poll as its own event, so any
-// change to how idle CTAs are scheduled must reproduce its runs bit for
-// bit: virtual time, event order on ties, and results.
+// run's host-poll, channel-transaction and device-poll counts. The values
+// were recorded from the engine that stepped every idle CTA poll as its own
+// event, so parked CTAs must reproduce that engine's runs bit for bit:
+// virtual time, event order on ties, and results. device_polls was that
+// engine's CTA event count (each CTA step polls once); a parked CTA is
+// credited the polls it skipped, so the pin holds only if every wake lands
+// on the polled instant.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -71,12 +74,14 @@ struct Pin {
   std::uint64_t records;
   std::uint64_t host_polls;
   std::uint64_t pcie_transactions;
+  std::uint64_t device_polls;
 };
 
 void expect_pin(const EngineReport& rep, const Pin& pin, const char* what) {
   EXPECT_EQ(records_fnv1a(rep.collector), pin.records) << what;
   EXPECT_EQ(rep.host_polls, pin.host_polls) << what;
   EXPECT_EQ(rep.pcie_transactions, pin.pcie_transactions) << what;
+  EXPECT_EQ(rep.device_polls, pin.device_polls) << what;
 }
 
 AlgasConfig golden_config() {
@@ -109,9 +114,9 @@ TEST(EngineGolden, EverySyncMode) {
     HostSync mode;
     Pin pin;
   } cases[] = {
-      {HostSync::kPollNaive, {14256205309456921108ULL, 1479, 2951}},
-      {HostSync::kPollMirrored, {8876137410238888692ULL, 4008, 2112}},
-      {HostSync::kBlocking, {10134136534195605385ULL, 0, 1472}},
+      {HostSync::kPollNaive, {14256205309456921108ULL, 1479, 2951, 634352}},
+      {HostSync::kPollMirrored, {8876137410238888692ULL, 4008, 2112, 633652}},
+      {HostSync::kBlocking, {10134136534195605385ULL, 0, 1472, 633852}},
   };
   for (const auto& c : cases) {
     AlgasConfig cfg = golden_config();
@@ -145,7 +150,7 @@ TEST(EngineGolden, ShardedServingWithEvictions) {
   EXPECT_GT(s.served, 0u);
   EXPECT_GT(s.evicted, 0u);
   EXPECT_GT(s.shed_queue + s.shed_deadline, 0u);
-  expect_pin(rep.sharded.merged, {4715921993004495209ULL, 5995, 16464},
+  expect_pin(rep.sharded.merged, {4715921993004495209ULL, 5995, 16464, 489470},
              "4 shards");
 }
 
@@ -183,7 +188,7 @@ TEST(EngineGolden, MutableServeAfterDeletes) {
   for (NodeId v = 0; v < 400; v += 7) idx.remove(v);
   const auto rep = idx.serve(golden_config(), 30);
   EXPECT_EQ(rep.summary.queries, 30u);
-  expect_pin(rep, {4546685888707673975ULL, 332, 812}, "mutable");
+  expect_pin(rep, {4546685888707673975ULL, 332, 812, 26034}, "mutable");
 }
 
 TEST(EngineGolden, FilteredRead) {
@@ -194,7 +199,7 @@ TEST(EngineGolden, FilteredRead) {
   cfg.search.accept = AcceptPredicate(&bits);
   AlgasEngine engine(world.ds, world.nsw, cfg);
   const auto rep = engine.run(bursty_arrivals(40, 20000.0));
-  expect_pin(rep, {14520174361405392342ULL, 9837, 1072}, "filtered");
+  expect_pin(rep, {14520174361405392342ULL, 9837, 1072, 243615}, "filtered");
 }
 
 TEST(EngineGolden, GraphSmallerThanCtaCount) {
@@ -206,7 +211,7 @@ TEST(EngineGolden, GraphSmallerThanCtaCount) {
   ASSERT_EQ(idx.published(), 3u);
   const auto rep = idx.serve(golden_config(), 20);
   ASSERT_GT(rep.plan.n_parallel, 3u);
-  expect_pin(rep, {13642065685667525164ULL, 192, 552}, "3 rows");
+  expect_pin(rep, {13642065685667525164ULL, 192, 552, 15312}, "3 rows");
 }
 
 TEST(EngineGolden, EqualTimeWakeAgainstCtaOrder) {
@@ -228,7 +233,8 @@ TEST(EngineGolden, EqualTimeWakeAgainstCtaOrder) {
   }
   AlgasEngine engine(world.ds, world.cagra, cfg);
   const auto rep = engine.run(arrivals);
-  expect_pin(rep, {14740029133816700353ULL, 1239, 536}, "equal-time wake");
+  expect_pin(rep, {14740029133816700353ULL, 1239, 536, 923885},
+             "equal-time wake");
 }
 
 }  // namespace

@@ -1,10 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <array>
 #include <limits>
+#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "common/rng.hpp"
 #include "simgpu/channel.hpp"
 #include "simgpu/checker.hpp"
 #include "simgpu/cost_model.hpp"
@@ -138,6 +141,200 @@ TEST(Simulation, RunUntilStopsAtBoundary) {
   EXPECT_EQ(a.times.size(), 3u);  // steps at 0, 10, 20
   sim.run();                      // drain the rest
   EXPECT_EQ(a.times.size(), 11u);
+}
+
+// ---------------- simulation.hpp: parked pollers ----------------
+
+/// Waits for its flag by polling on `grid`: stepping every poll (the
+/// reference) or parking between them. Appends its id to `seen` when it
+/// sees the flag.
+class FlagPoller : public Actor {
+ public:
+  FlagPoller(const bool& flag, PollGrid grid, bool park,
+             std::vector<int>& seen, int id)
+      : flag_(flag), grid_(grid), park_(park), seen_(seen), id_(id) {}
+  void step(Simulation& sim) override {
+    ++polls;
+    if (flag_) {
+      seen_at = sim.now();
+      seen_.push_back(id_);
+    } else if (park_) {
+      sim.park(this, grid_);
+    } else {
+      sim.schedule(this, grid_.next(sim.now()));
+    }
+  }
+  std::uint64_t polls = 0;  ///< stepped polls plus skipped ones credited
+  SimTime seen_at = -1.0;
+
+ private:
+  const bool& flag_;
+  PollGrid grid_;
+  bool park_;
+  std::vector<int>& seen_;
+  int id_;
+};
+
+/// Raises a flag and wakes its pollers (a no-op for polling ones),
+/// crediting each the polls its park skipped. Logs `id` to `log`, if set,
+/// so its order among equal-time polls is observable.
+class FlagRaiser : public Actor {
+ public:
+  FlagRaiser(bool& flag, std::vector<FlagPoller*> pollers,
+             std::vector<int>* log = nullptr, int id = 0)
+      : flag_(flag), pollers_(std::move(pollers)), log_(log), id_(id) {}
+  void step(Simulation& sim) override {
+    if (log_) log_->push_back(id_);
+    flag_ = true;
+    for (FlagPoller* p : pollers_) p->polls += sim.wake(p);
+  }
+
+ private:
+  bool& flag_;
+  std::vector<FlagPoller*> pollers_;
+  std::vector<int>* log_;
+  int id_;
+};
+
+/// Schedules `target` at `when` from its own step, so the target's event
+/// counts as pushed from the relay's instant.
+class Relay : public Actor {
+ public:
+  Relay(Actor* target, SimTime when) : target_(target), when_(when) {}
+  void step(Simulation& sim) override { sim.schedule(target_, when_); }
+
+ private:
+  Actor* target_;
+  SimTime when_;
+};
+
+struct FlagRun {
+  /// Poller ids in the order they saw their flag, and -1 - f when flag f
+  /// was raised.
+  std::vector<int> seen;
+  std::vector<SimTime> seen_at;
+  std::vector<std::uint64_t> polls;
+  std::uint64_t events = 0;
+};
+
+/// Twelve pollers on one grid of step 3 (integer instants, so many polls
+/// tie) wait on three flags raised at seeded instants, each raise pushed
+/// from 0 or from a half-integer relay instant (never a grid instant, so
+/// every tie is one the ordering rule decides).
+FlagRun run_flags(std::uint64_t seed, bool park) {
+  constexpr int kFlags = 3;
+  constexpr int kPollers = 12;
+  const PollGrid grid{1.0, 2.0};
+  Rng rng(seed);
+  std::array<bool, kFlags> flags{};
+  FlagRun out;
+  std::vector<std::unique_ptr<FlagPoller>> pollers;
+  for (int i = 0; i < kPollers; ++i) {
+    pollers.push_back(std::make_unique<FlagPoller>(flags[i % kFlags], grid,
+                                                   park, out.seen, i));
+  }
+  std::vector<std::unique_ptr<FlagRaiser>> raisers;
+  std::vector<std::unique_ptr<Relay>> relays;
+  Simulation sim;
+  for (auto& p : pollers) {
+    sim.schedule(p.get(), 4.0 + static_cast<double>(rng.next_below(30)));
+  }
+  for (int f = 0; f < kFlags; ++f) {
+    std::vector<FlagPoller*> mine;
+    for (int i = f; i < kPollers; i += kFlags) mine.push_back(pollers[i].get());
+    raisers.push_back(
+        std::make_unique<FlagRaiser>(flags[f], mine, &out.seen, -1 - f));
+    const SimTime at = 40.0 + static_cast<double>(rng.next_below(200));
+    if (rng.next_below(2) == 0) {
+      sim.schedule(raisers.back().get(), at);
+    } else {
+      relays.push_back(std::make_unique<Relay>(raisers.back().get(), at));
+      sim.schedule(relays.back().get(),
+                   at - 0.5 - static_cast<double>(rng.next_below(6)));
+    }
+  }
+  sim.run();
+  for (const auto& p : pollers) {
+    out.seen_at.push_back(p->seen_at);
+    out.polls.push_back(p->polls);
+  }
+  out.events = sim.events_processed();
+  return out;
+}
+
+TEST(Simulation, ParkedPollersWakeExactlyAsPollingSawTheirFlags) {
+  // Every poller sees its flag at the instant polling saw it, in the same
+  // order on equal instants, with the skipped polls credited — while the
+  // simulation steps a fraction of the events.
+  for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+    const FlagRun polled = run_flags(seed, /*park=*/false);
+    const FlagRun parked = run_flags(seed, /*park=*/true);
+    ASSERT_EQ(polled.seen.size(), 15u) << "seed " << seed;
+    EXPECT_EQ(parked.seen, polled.seen) << "seed " << seed;
+    EXPECT_EQ(parked.seen_at, polled.seen_at) << "seed " << seed;
+    EXPECT_EQ(parked.polls, polled.polls) << "seed " << seed;
+    EXPECT_LT(parked.events, polled.events / 4) << "seed " << seed;
+  }
+}
+
+TEST(Simulation, WakeOrdersAWokenPollAfterTheWriterOnlyIfPushedLater) {
+  // The poller parks at 0 on a grid of step 10. A raise at t=20 pushed from
+  // 5 precedes the grid poll at 20 (pushed from 10), which sees it; pushed
+  // from 15 it runs after that poll, and the poller sees the flag at 30.
+  for (const SimTime pushed_from : {5.0, 15.0}) {
+    bool flag = false;
+    std::vector<int> seen;
+    FlagPoller p(flag, {0.0, 10.0}, /*park=*/true, seen, 0);
+    FlagRaiser raiser(flag, {&p});
+    Relay relay(&raiser, 20.0);
+    Simulation sim;
+    sim.schedule(&p, 0.0);
+    sim.schedule(&relay, pushed_from);
+    sim.run();
+    EXPECT_DOUBLE_EQ(p.seen_at, pushed_from < 10.0 ? 20.0 : 30.0);
+    EXPECT_EQ(p.polls, pushed_from < 10.0 ? 3u : 4u);
+  }
+}
+
+TEST(Simulation, WakeThrowsOnATieItCannotOrder) {
+  // The grid poll at 20 and the raise at 20 were both pushed from t=10;
+  // which push came first depends on the order of the events at 10, one of
+  // which was never stepped. The wake refuses to guess.
+  bool flag = false;
+  std::vector<int> seen;
+  FlagPoller p(flag, {0.0, 10.0}, /*park=*/true, seen, 0);
+  FlagRaiser raiser(flag, {&p});
+  Relay relay(&raiser, 20.0);
+  Simulation sim;
+  sim.schedule(&p, 0.0);
+  sim.schedule(&relay, 10.0);
+  EXPECT_THROW(sim.run(), std::logic_error);
+}
+
+TEST(Simulation, ParkIsOnlyForTheSteppingActorsPushedEvent) {
+  Simulation sim;
+  ProbeActor idle;
+  EXPECT_THROW(sim.park(&idle, {1.0, 2.0}), std::logic_error);
+  EXPECT_EQ(sim.wake(&idle), 0u);  // not parked: nothing to wake
+
+  // A woken poll has found what it waited for; parking again is a bug.
+  class AlwaysParks : public Actor {
+   public:
+    void step(Simulation& sim) override { sim.park(this, {0.0, 10.0}); }
+  };
+  AlwaysParks parker;
+  class Waker : public Actor {
+   public:
+    explicit Waker(Actor* target) : target_(target) {}
+    void step(Simulation& sim) override { sim.wake(target_); }
+
+   private:
+    Actor* target_;
+  };
+  Waker w(&parker);
+  sim.schedule(&parker, 0.0);
+  sim.schedule(&w, 5.0);
+  EXPECT_THROW(sim.run(), std::logic_error);
 }
 
 // ---------------- sim_group.hpp ----------------

@@ -150,8 +150,8 @@ TEST(VectorStore, Int8PerRowScaleIsMaxAbsOver127) {
     int max_code = 0;
     for (std::size_t d = 0; d < kDim; ++d) {
       max_abs = std::max(max_abs, std::fabs(base[r * kDim + d]));
-      max_code = std::max(max_code,
-                          std::abs(static_cast<int>(vs.i8_rows()[r * kDim + d])));
+      max_code = std::max(
+          max_code, std::abs(static_cast<int>(vs.i8_rows()[r * kDim + d])));
     }
     EXPECT_EQ(bits(vs.i8_scales()[r]), bits(max_abs / 127.0f)) << "row " << r;
     // The max-|v| element maps to exactly +-127; nothing exceeds it.

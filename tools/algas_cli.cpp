@@ -259,7 +259,8 @@ int cmd_build(const Args& args) {
   cfg.degree = args.get_size("degree", 32);
   cfg.ef_construction = args.get_size("ef", 64);
   // --threads/--batch default to the environment (flag > env > default).
-  cfg.threads = args.get_size("threads", RuntimeOptions::from_env().build_threads);
+  cfg.threads =
+      args.get_size("threads", RuntimeOptions::from_env().build_threads);
   cfg.insert_batch = args.get_size("batch", cfg.insert_batch);
   const BuildReport report = build_graph(parse_kind(args.get("kind")), ds, cfg);
   const Graph& g = report.graph;
