@@ -2,10 +2,9 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cstring>
-#include <fstream>
 #include <stdexcept>
 
+#include "common/binary_io.hpp"
 #include "graph/neighbor_selection.hpp"
 #include "graph/nsw_builder.hpp"
 
@@ -277,9 +276,7 @@ EngineReport MutableIndex::serve(AlgasConfig cfg,
   return engine.run_closed_loop(num_queries);
 }
 
-namespace {
-constexpr char kMxMagic[8] = {'A', 'L', 'G', 'A', 'S', 'M', 'X', '1'};
-}
+constexpr Magic kMxMagic = {'A', 'L', 'G', 'A', 'S', 'M', 'X', '1'};
 
 void MutableIndex::save(const std::string& path) const {
   ReadSection sec(checker_, "save");
@@ -287,60 +284,32 @@ void MutableIndex::save(const std::string& path) const {
     throw std::logic_error(
         "MutableIndex::save: apply staged batches before snapshotting");
   }
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  if (!out) throw std::runtime_error("cannot open " + path + " for write");
-  out.write(kMxMagic, sizeof(kMxMagic));
-  const std::uint64_t epoch = epoch_;
-  out.write(reinterpret_cast<const char*>(&epoch), sizeof(epoch));
-  graph_.save(out, path);
-  const std::vector<NodeId> ids = tombstones_.ids();
-  const std::uint64_t count = ids.size();
-  out.write(reinterpret_cast<const char*>(&count), sizeof(count));
-  out.write(reinterpret_cast<const char*>(ids.data()),
-            static_cast<std::streamsize>(ids.size() * sizeof(NodeId)));
-  if (!out) throw std::runtime_error("short write to " + path);
+  BinaryWriter out(path);
+  out.magic(kMxMagic);
+  out.pod(static_cast<std::uint64_t>(epoch_));
+  graph_.save(out);
+  out.counted(tombstones_.ids());
+  out.finish();
 }
 
 MutableIndex MutableIndex::load(const std::string& path, Dataset ds,
                                 BuildConfig cfg) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) throw std::runtime_error("cannot open " + path);
-  char magic[8];
-  if (!in.read(magic, sizeof(magic)) ||
-      std::memcmp(magic, kMxMagic, sizeof(kMxMagic)) != 0) {
-    throw std::runtime_error("not an ALGAS mutable-index snapshot: " + path);
-  }
-  std::uint64_t epoch = 0;
-  if (!in.read(reinterpret_cast<char*>(&epoch), sizeof(epoch))) {
-    throw std::runtime_error("truncated snapshot header in " + path);
-  }
-  Graph g = Graph::load(in, path);
-  std::uint64_t count = 0;
-  if (!in.read(reinterpret_cast<char*>(&count), sizeof(count))) {
-    throw std::runtime_error("truncated tombstone section in " + path);
-  }
+  BinaryReader in(path);
+  in.expect_magic(kMxMagic, "snapshot magic");
+  const auto epoch = in.pod<std::uint64_t>("snapshot epoch");
+  Graph g = Graph::load(in);
+  const auto count = in.pod<std::uint64_t>("tombstone count");
   if (count > g.num_nodes()) {
-    throw std::runtime_error("corrupt tombstone section in " + path + ": " +
-                             std::to_string(count) + " tombstones for " +
-                             std::to_string(g.num_nodes()) + " nodes");
+    in.fail("tombstone count", std::to_string(count) + " tombstones for " +
+                                   std::to_string(g.num_nodes()) + " nodes");
   }
-  std::vector<NodeId> ids(static_cast<std::size_t>(count));
-  if (count > 0 &&
-      !in.read(reinterpret_cast<char*>(ids.data()),
-               static_cast<std::streamsize>(ids.size() * sizeof(NodeId)))) {
-    throw std::runtime_error("truncated tombstone section in " + path);
-  }
+  const auto ids = in.array<NodeId>(count, "tombstone ids");
   for (std::size_t i = 0; i < ids.size(); ++i) {
-    const bool ordered = i == 0 || ids[i - 1] < ids[i];
-    if (!ordered || static_cast<std::size_t>(ids[i]) >= g.num_nodes()) {
-      throw std::runtime_error("corrupt tombstone section in " + path +
-                               ": ids must be ascending node ids");
+    if ((i > 0 && ids[i - 1] >= ids[i]) || ids[i] >= g.num_nodes()) {
+      in.fail("tombstone ids", "ids must be ascending node ids");
     }
   }
-  if (in.peek() != std::ifstream::traits_type::eof()) {
-    throw std::runtime_error("trailing bytes after snapshot payload in " +
-                             path);
-  }
+  in.finish();
   if (ds.num_base() != g.num_nodes()) {
     throw std::invalid_argument(
         "MutableIndex::load: snapshot covers " +

@@ -17,7 +17,8 @@
 namespace algas {
 
 /// Read an fvecs file. Returns row-major floats; `dim_out` receives the
-/// (uniform) row dimension. Throws std::runtime_error on malformed input.
+/// (uniform) row dimension. Throws std::runtime_error on malformed input
+/// (every reader here is bounded; DESIGN.md "On-disk formats").
 std::vector<float> read_fvecs(const std::string& path, std::size_t& dim_out);
 
 /// Read an ivecs file (same layout, int32 payload).
@@ -32,7 +33,8 @@ void write_ivecs(const std::string& path,
 /// Serialize a whole Dataset (base, queries, ground truth) to `path`.
 void save_dataset(const Dataset& ds, const std::string& path);
 
-/// Load a Dataset written by save_dataset. Throws on version mismatch.
+/// Load a Dataset written by save_dataset. Throws std::runtime_error on
+/// any defect, an out-of-range ground-truth id included.
 Dataset load_dataset(const std::string& path);
 
 /// Assemble a Dataset from the TEXMEX file triple the paper's corpora ship

@@ -12,7 +12,6 @@
 
 #include <cassert>
 #include <cstddef>
-#include <iosfwd>
 #include <span>
 #include <string>
 #include <vector>
@@ -20,6 +19,9 @@
 #include "common/types.hpp"
 
 namespace algas {
+
+class BinaryReader;
+class BinaryWriter;
 
 class Graph {
  public:
@@ -75,16 +77,14 @@ class Graph {
   Stats stats() const;
 
   void save(const std::string& path) const;
-  /// Stream variant so snapshot formats (core::MutableIndex) can embed a
-  /// graph section; `context` names the destination in error messages.
-  void save(std::ostream& out, const std::string& context) const;
+  /// Section variant so snapshot formats (core::MutableIndex) can embed a
+  /// graph; the caller opens and finishes the file.
+  void save(BinaryWriter& out) const;
 
-  /// Loading validates the file end to end — bad magic, truncated header or
-  /// payload, trailing bytes, an out-of-range entry point, or adjacency
-  /// entries that are neither padding nor valid node ids all throw
-  /// std::runtime_error with a message naming the file and the defect.
+  /// Loading validates the file end to end (DESIGN.md "On-disk formats"):
+  /// every defect throws std::runtime_error naming the file and the field.
   static Graph load(const std::string& path);
-  static Graph load(std::istream& in, const std::string& context);
+  static Graph load(BinaryReader& in);
 
   const std::vector<NodeId>& adjacency() const { return adj_; }
 

@@ -5,6 +5,7 @@
 #include <filesystem>
 #include <fstream>
 #include <string>
+#include <vector>
 
 #include "dataset/dataset.hpp"
 #include "dataset/ground_truth.hpp"
@@ -299,6 +300,39 @@ TEST(Io, DatasetRejectsPayloadThatIsNotWholeRows) {
   patch_file(s.path, s.dim_at, std::uint64_t{12});
   ASSERT_NO_THROW(load_dataset(s.path));
   patch_file(s.path, s.gt_k_at, std::uint64_t{6});  // 40 ids != 8 x 6
+  EXPECT_THROW(load_dataset(s.path), std::runtime_error);
+  std::remove(s.path.c_str());
+}
+
+TEST(Io, DatasetRejectsGroundTruthIdOutOfRange) {
+  const SavedDataset s = save_small_dataset("algas_gt_id.abin");
+  ASSERT_NO_THROW(load_dataset(s.path));
+  // Past the base (64 x 12) and query (8 x 12) payloads and the gt count.
+  const std::size_t gt_at =
+      s.base_len_at + 8 + 64 * 12 * 4 + 8 + 8 * 12 * 4 + 8;
+  patch_file(s.path, gt_at + 3 * sizeof(NodeId), NodeId{64});  // = num_base
+  EXPECT_THROW(load_dataset(s.path), std::runtime_error);
+  patch_file(s.path, gt_at + 3 * sizeof(NodeId), kInvalidNode);
+  EXPECT_THROW(load_dataset(s.path), std::runtime_error);
+  std::remove(s.path.c_str());
+}
+
+TEST(Io, DatasetRejectsAttributeTrailerOfWrongLength) {
+  // A well-formed trailer with one (category, timestamp) pair too few for
+  // the 64 base rows: a file defect, rejected by the reader before the
+  // payload is allocated rather than by Dataset::set_attributes.
+  const SavedDataset s = save_small_dataset("algas_attr_len.abin");
+  {
+    std::ofstream out(s.path, std::ios::binary | std::ios::app);
+    const std::uint64_t count = 63;
+    const std::vector<std::uint32_t> values(count, 1);
+    out.write("ALGASAT1", 8);
+    for (int column = 0; column < 2; ++column) {
+      out.write(reinterpret_cast<const char*>(&count), sizeof(count));
+      out.write(reinterpret_cast<const char*>(values.data()),
+                static_cast<std::streamsize>(count * sizeof(std::uint32_t)));
+    }
+  }
   EXPECT_THROW(load_dataset(s.path), std::runtime_error);
   std::remove(s.path.c_str());
 }

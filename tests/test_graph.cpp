@@ -88,6 +88,26 @@ TEST(Graph, LoadRejectsGarbage) {
   std::remove(path.c_str());
 }
 
+TEST(Graph, LoadRejectsHugeHeaderBeforeAllocating) {
+  // A bare 28-byte header declaring 2^32-1 nodes of degree 2^20: the
+  // 2^54-byte adjacency must be checked against the bytes left in the
+  // file, not handed to the allocator (std::bad_alloc).
+  const auto path =
+      (std::filesystem::temp_directory_path() / "algas_huge.agr").string();
+  {
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    const std::uint64_t n = 0xffffffffULL, d = 1ULL << 20;
+    const std::uint32_t entry = 0;
+    out.write("ALGASGR1", 8);
+    out.write(reinterpret_cast<const char*>(&n), sizeof(n));
+    out.write(reinterpret_cast<const char*>(&d), sizeof(d));
+    out.write(reinterpret_cast<const char*>(&entry), sizeof(entry));
+  }
+  ASSERT_EQ(std::filesystem::file_size(path), 28u);
+  EXPECT_THROW(Graph::load(path), std::runtime_error);
+  std::remove(path.c_str());
+}
+
 TEST(Graph, GrowExtendsWithPaddingAndKeepsEntry) {
   Graph g(3, 2);
   g.mutable_neighbors(0)[0] = 1;

@@ -216,6 +216,18 @@ void print_filtered_recall(const Dataset& ds,
               served);
 }
 
+/// BuildConfig from the shared construction flags (insert/delete/build).
+BuildConfig parse_build_config(const Args& args) {
+  BuildConfig cfg;
+  cfg.degree = args.get_size("degree", 32);
+  cfg.ef_construction = args.get_size("ef", 64);
+  // --threads/--batch default to the environment (flag > env > default).
+  cfg.threads =
+      args.get_size("threads", RuntimeOptions::from_env().build_threads);
+  cfg.insert_batch = args.get_size("batch", cfg.insert_batch);
+  return cfg;
+}
+
 int cmd_gen(const Args& args) {
   const std::string name = args.get("name");
   SyntheticSpec spec;
@@ -255,14 +267,8 @@ int cmd_import(const Args& args) {
 int cmd_build(const Args& args) {
   Dataset ds = load_dataset(args.get("dataset"));
   apply_storage(ds, args);
-  BuildConfig cfg;
-  cfg.degree = args.get_size("degree", 32);
-  cfg.ef_construction = args.get_size("ef", 64);
-  // --threads/--batch default to the environment (flag > env > default).
-  cfg.threads =
-      args.get_size("threads", RuntimeOptions::from_env().build_threads);
-  cfg.insert_batch = args.get_size("batch", cfg.insert_batch);
-  const BuildReport report = build_graph(parse_kind(args.get("kind")), ds, cfg);
+  const BuildReport report =
+      build_graph(parse_kind(args.get("kind")), ds, parse_build_config(args));
   const Graph& g = report.graph;
   g.save(args.get("out"));
   const auto stats = g.stats();
@@ -303,14 +309,21 @@ void print_report(const char* engine_name, const core::EngineReport& rep) {
               static_cast<unsigned long long>(rep.pcie_transactions));
 }
 
-/// BuildConfig from the shared construction flags (insert/delete/build).
-BuildConfig parse_build_config(const Args& args) {
-  BuildConfig cfg;
-  cfg.degree = args.get_size("degree", 32);
-  cfg.ef_construction = args.get_size("ef", 64);
-  cfg.threads =
-      args.get_size("threads", RuntimeOptions::from_env().build_threads);
-  cfg.insert_batch = args.get_size("batch", cfg.insert_batch);
+/// AlgasConfig from the shared engine flags (search --index/--shards/plain
+/// and serve). `accept` and `trace` must outlive the run.
+core::AlgasConfig parse_engine_config(const Args& args,
+                                      const search::AcceptPredicate& accept,
+                                      sim::Tracer* trace) {
+  core::AlgasConfig cfg;
+  cfg.search.topk = args.get_size("topk", 16);
+  cfg.search.candidate_len = args.get_size("list", 128);
+  cfg.search.beam_width = args.get_size("beam", 4);
+  cfg.search.accept = accept;
+  cfg.slots = args.get_size("slots", 16);
+  cfg.n_parallel = args.get_size("nparallel", 0);
+  cfg.host_threads = args.get_size("hosts", 1);
+  cfg.host_sync = parse_sync(args.get_or("sync", "mirrored"));
+  cfg.tracer = trace;
   return cfg;
 }
 
@@ -405,13 +418,27 @@ int cmd_delete(const Args& args) {
   return 0;
 }
 
-int cmd_search(const Args& args) {
+/// --dataset with --storage applied, for the commands that score recall.
+Dataset load_serving_dataset(const Args& args) {
   Dataset ds = load_dataset(args.get("dataset"));
   apply_storage(ds, args);
   if (!ds.has_ground_truth()) {
     std::printf("note: dataset has no ground truth; recall prints as 0 "
                 "(run `algas_cli gt` first)\n");
   }
+  return ds;
+}
+
+/// Write the --trace sink once a run completes; a no-op when untraced.
+void save_trace(sim::Tracer* trace, const std::string& path, const char* hint) {
+  if (trace == nullptr) return;
+  trace->save(path);
+  std::printf("wrote trace %s (%llu events)%s\n", path.c_str(),
+              static_cast<unsigned long long>(trace->events_recorded()), hint);
+}
+
+int cmd_search(const Args& args) {
+  Dataset ds = load_serving_dataset(args);
   const std::string engine = args.get_or("engine", "algas");
   const std::size_t topk = args.get_size("topk", 16);
   const std::size_t list = args.get_size("list", 128);
@@ -456,16 +483,7 @@ int cmd_search(const Args& args) {
     }
     core::MutableIndex idx = core::MutableIndex::load(
         index_path, std::move(ds), parse_build_config(args));
-    core::AlgasConfig cfg;
-    cfg.search.topk = topk;
-    cfg.search.candidate_len = list;
-    cfg.search.beam_width = args.get_size("beam", 4);
-    cfg.search.accept = accept;
-    cfg.slots = slots;
-    cfg.n_parallel = args.get_size("nparallel", 0);
-    cfg.host_threads = args.get_size("hosts", 1);
-    cfg.host_sync = parse_sync(args.get_or("sync", "mirrored"));
-    cfg.tracer = trace;
+    const core::AlgasConfig cfg = parse_engine_config(args, accept, trace);
     std::printf("index: epoch %llu | %zu live of %zu published\n",
                 static_cast<unsigned long long>(idx.epoch()), idx.live(),
                 idx.published());
@@ -478,11 +496,7 @@ int cmd_search(const Args& args) {
                             accept.with_tombstones(&idx.tombstones()),
                             rep.collector, topk);
     }
-    if (trace) {
-      trace->save(trace_path);
-      std::printf("wrote trace %s (%llu events)\n", trace_path.c_str(),
-                  static_cast<unsigned long long>(trace->events_recorded()));
-    }
+    save_trace(trace, trace_path, "");
     return 0;
   }
 
@@ -495,15 +509,7 @@ int cmd_search(const Args& args) {
       throw std::invalid_argument("--shards only serves the algas engine");
     }
     core::ShardedConfig scfg;
-    scfg.base.search.topk = topk;
-    scfg.base.search.candidate_len = list;
-    scfg.base.search.beam_width = args.get_size("beam", 4);
-    scfg.base.search.accept = accept;
-    scfg.base.slots = slots;
-    scfg.base.n_parallel = args.get_size("nparallel", 0);
-    scfg.base.host_threads = args.get_size("hosts", 1);
-    scfg.base.host_sync = parse_sync(args.get_or("sync", "mirrored"));
-    scfg.base.tracer = trace;
+    scfg.base = parse_engine_config(args, accept, trace);
     scfg.shards = shards;
     scfg.fanout = args.get_size("fanout", 0);
     scfg.router_centroids = args.get_size("router-centroids", 8);
@@ -526,26 +532,13 @@ int cmd_search(const Args& args) {
                 static_cast<unsigned long long>(rep.bus_transactions),
                 static_cast<unsigned long long>(rep.bus_bytes),
                 100.0 * rep.bus_utilization);
-    if (trace) {
-      trace->save(trace_path);
-      std::printf("wrote trace %s (%llu events)\n", trace_path.c_str(),
-                  static_cast<unsigned long long>(trace->events_recorded()));
-    }
+    save_trace(trace, trace_path, "");
     return 0;
   }
 
   const Graph g = Graph::load(args.get("graph"));
   if (engine == "algas") {
-    core::AlgasConfig cfg;
-    cfg.search.topk = topk;
-    cfg.search.candidate_len = list;
-    cfg.search.beam_width = args.get_size("beam", 4);
-    cfg.search.accept = accept;
-    cfg.slots = slots;
-    cfg.n_parallel = args.get_size("nparallel", 0);
-    cfg.host_threads = args.get_size("hosts", 1);
-    cfg.host_sync = parse_sync(args.get_or("sync", "mirrored"));
-    cfg.tracer = trace;
+    const core::AlgasConfig cfg = parse_engine_config(args, accept, trace);
     core::AlgasEngine e(ds, g, cfg);
     std::printf("plan: %s\n", e.plan().describe().c_str());
     const core::EngineReport rep = e.run_closed_loop(queries);
@@ -553,43 +546,26 @@ int cmd_search(const Args& args) {
     if (filter != nullptr) {
       print_filtered_recall(ds, accept, rep.collector, topk);
     }
-  } else if (engine == "cagra") {
+  } else if (engine == "cagra" || engine == "ganns") {
     baselines::StaticConfig cfg;
     cfg.search.topk = topk;
     cfg.search.candidate_len = list;
     cfg.batch_size = slots;
-    cfg.n_parallel = args.get_size("nparallel", 4);
+    cfg.n_parallel = args.get_size("nparallel", 4);  // ganns_preset pins 1
     cfg.tracer = trace;
+    if (engine == "ganns") cfg = baselines::ganns_preset(cfg);
     baselines::StaticBatchEngine e(ds, g, cfg);
-    print_report("cagra", e.run_closed_loop(queries));
-  } else if (engine == "ganns") {
-    baselines::StaticConfig cfg;
-    cfg.search.topk = topk;
-    cfg.search.candidate_len = list;
-    cfg.batch_size = slots;
-    cfg.tracer = trace;
-    baselines::StaticBatchEngine e(ds, g, baselines::ganns_preset(cfg));
-    print_report("ganns", e.run_closed_loop(queries));
+    print_report(engine.c_str(), e.run_closed_loop(queries));
   } else {
     throw std::invalid_argument("unknown engine: " + engine);
   }
-  if (trace) {
-    trace->save(trace_path);
-    std::printf("wrote trace %s (%llu events); open in "
-                "https://ui.perfetto.dev or chrome://tracing\n",
-                trace_path.c_str(),
-                static_cast<unsigned long long>(trace->events_recorded()));
-  }
+  save_trace(trace, trace_path,
+             "; open in https://ui.perfetto.dev or chrome://tracing");
   return 0;
 }
 
 int cmd_serve(const Args& args) {
-  Dataset ds = load_dataset(args.get("dataset"));
-  apply_storage(ds, args);
-  if (!ds.has_ground_truth()) {
-    std::printf("note: dataset has no ground truth; recall prints as 0 "
-                "(run `algas_cli gt` first)\n");
-  }
+  Dataset ds = load_serving_dataset(args);
 
   core::ServingConfig cfg;
   cfg.arrival.kind = parse_arrival(args.get_or("arrival", "poisson"));
@@ -604,14 +580,7 @@ int cmd_serve(const Args& args) {
   const search::AcceptPredicate accept{filter.get()};
 
   core::AlgasConfig& base = cfg.sharded.base;
-  base.search.topk = args.get_size("topk", 16);
-  base.search.candidate_len = args.get_size("list", 128);
-  base.search.beam_width = args.get_size("beam", 4);
-  base.search.accept = accept;
-  base.slots = args.get_size("slots", 16);
-  base.n_parallel = args.get_size("nparallel", 0);
-  base.host_threads = args.get_size("hosts", 1);
-  base.host_sync = parse_sync(args.get_or("sync", "mirrored"));
+  base = parse_engine_config(args, accept, nullptr);
   // An unbounded queue is the closed-loop default; serving mode (the
   // AdmissionActor front-end) activates only when --capacity is given.
   base.admission.capacity =
