@@ -8,18 +8,29 @@
 // engine's CTA event count (each CTA step polls once); a parked CTA is
 // credited the polls it skipped, so the pin holds only if every wake lands
 // on the polled instant.
+//
+// A second, full-record fingerprint covers every QueryRecord field (slot,
+// deadline, priority, steps, rounds, scored points and the four StepCost
+// terms included) plus the bits of the report's recall, gpu_utilization,
+// pcie_bytes and trace_events, so a record or report builder that drops a
+// field changes it. The static-batch and IVF baselines are pinned the same
+// way. Every full pin was recorded from the engine that built each record
+// and report field by field at every call site.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <cstring>
 #include <vector>
 
+#include "baselines/ivf.hpp"
+#include "baselines/static_engine.hpp"
 #include "core/engine.hpp"
 #include "core/mutable_index.hpp"
 #include "core/serving_engine.hpp"
 #include "dataset/synthetic.hpp"
 #include "search/accept.hpp"
 #include "simgpu/arrival.hpp"
+#include "simgpu/trace.hpp"
 #include "test_util.hpp"
 
 namespace algas::core {
@@ -70,6 +81,50 @@ std::uint64_t records_fnv1a(const metrics::Collector& c) {
   return h.value();
 }
 
+void mix_records(Fnv1a& h, const metrics::Collector& c) {
+  for (const auto& r : c.records()) {
+    h.mix(r.query_index);
+    h.mix(r.slot);
+    h.mix_double(r.arrival_ns);
+    h.mix_double(r.dispatch_ns);
+    h.mix_double(r.gpu_done_ns);
+    h.mix_double(r.done_ns);
+    h.mix_double(r.deadline_ns);
+    h.mix(r.priority);
+    h.mix(static_cast<std::uint64_t>(r.disposition));
+    h.mix(r.steps);
+    h.mix(r.rounds);
+    h.mix(r.scored_points);
+    h.mix_double(r.gpu_cost.select_ns);
+    h.mix_double(r.gpu_cost.gather_ns);
+    h.mix_double(r.gpu_cost.compute_ns);
+    h.mix_double(r.gpu_cost.sort_ns);
+    h.mix(r.results.size());
+    for (const KV& kv : r.results) {
+      h.mix(kv.id());
+      h.mix_float(kv.dist);
+    }
+  }
+}
+
+/// Every field of every record, then the report-level figures the report
+/// tail computes.
+std::uint64_t full_fnv1a(const EngineReport& rep) {
+  Fnv1a h;
+  mix_records(h, rep.collector);
+  h.mix_double(rep.recall);
+  h.mix_double(rep.gpu_utilization);
+  h.mix(rep.pcie_bytes);
+  h.mix(rep.trace_events);
+  return h.value();
+}
+
+std::uint64_t full_fnv1a(const metrics::Collector& c) {
+  Fnv1a h;
+  mix_records(h, c);
+  return h.value();
+}
+
 struct Pin {
   std::uint64_t records;
   std::uint64_t host_polls;
@@ -77,8 +132,10 @@ struct Pin {
   std::uint64_t device_polls;
 };
 
-void expect_pin(const EngineReport& rep, const Pin& pin, const char* what) {
+void expect_pin(const EngineReport& rep, const Pin& pin, std::uint64_t full,
+                const char* what) {
   EXPECT_EQ(records_fnv1a(rep.collector), pin.records) << what;
+  EXPECT_EQ(full_fnv1a(rep), full) << what;
   EXPECT_EQ(rep.host_polls, pin.host_polls) << what;
   EXPECT_EQ(rep.pcie_transactions, pin.pcie_transactions) << what;
   EXPECT_EQ(rep.device_polls, pin.device_polls) << what;
@@ -113,10 +170,14 @@ TEST(EngineGolden, EverySyncMode) {
   const struct {
     HostSync mode;
     Pin pin;
+    std::uint64_t full;
   } cases[] = {
-      {HostSync::kPollNaive, {14256205309456921108ULL, 1479, 2951, 634352}},
-      {HostSync::kPollMirrored, {8876137410238888692ULL, 4008, 2112, 633652}},
-      {HostSync::kBlocking, {10134136534195605385ULL, 0, 1472, 633852}},
+      {HostSync::kPollNaive, {14256205309456921108ULL, 1479, 2951, 634352},
+       1392770844019674707ULL},
+      {HostSync::kPollMirrored, {8876137410238888692ULL, 4008, 2112, 633652},
+       9198399491678398092ULL},
+      {HostSync::kBlocking, {10134136534195605385ULL, 0, 1472, 633852},
+       11852545039399056882ULL},
   };
   for (const auto& c : cases) {
     AlgasConfig cfg = golden_config();
@@ -124,7 +185,7 @@ TEST(EngineGolden, EverySyncMode) {
     AlgasEngine engine(world.ds, world.nsw, cfg);
     const auto rep = engine.run(bursty_arrivals(80, 20000.0));
     EXPECT_EQ(rep.summary.queries, 80u);
-    expect_pin(rep, c.pin, host_sync_name(c.mode));
+    expect_pin(rep, c.pin, c.full, host_sync_name(c.mode));
   }
 }
 
@@ -151,7 +212,10 @@ TEST(EngineGolden, ShardedServingWithEvictions) {
   EXPECT_GT(s.evicted, 0u);
   EXPECT_GT(s.shed_queue + s.shed_deadline, 0u);
   expect_pin(rep.sharded.merged, {4715921993004495209ULL, 5995, 16464, 489470},
-             "4 shards");
+             403679769621322535ULL, "4 shards");
+  // The shards' own records: served, evicted and both shed dispositions,
+  // with their slots, deadlines and priorities.
+  EXPECT_EQ(full_fnv1a(rep.sharded.shard_records), 13651930609436175289ULL);
 }
 
 Dataset small_ds(std::size_t n) {
@@ -188,7 +252,8 @@ TEST(EngineGolden, MutableServeAfterDeletes) {
   for (NodeId v = 0; v < 400; v += 7) idx.remove(v);
   const auto rep = idx.serve(golden_config(), 30);
   EXPECT_EQ(rep.summary.queries, 30u);
-  expect_pin(rep, {4546685888707673975ULL, 332, 812, 26034}, "mutable");
+  expect_pin(rep, {4546685888707673975ULL, 332, 812, 26034},
+             7181246800584185015ULL, "mutable");
 }
 
 TEST(EngineGolden, FilteredRead) {
@@ -199,7 +264,8 @@ TEST(EngineGolden, FilteredRead) {
   cfg.search.accept = AcceptPredicate(&bits);
   AlgasEngine engine(world.ds, world.nsw, cfg);
   const auto rep = engine.run(bursty_arrivals(40, 20000.0));
-  expect_pin(rep, {14520174361405392342ULL, 9837, 1072, 243615}, "filtered");
+  expect_pin(rep, {14520174361405392342ULL, 9837, 1072, 243615},
+             4738777336949353354ULL, "filtered");
 }
 
 TEST(EngineGolden, GraphSmallerThanCtaCount) {
@@ -211,7 +277,8 @@ TEST(EngineGolden, GraphSmallerThanCtaCount) {
   ASSERT_EQ(idx.published(), 3u);
   const auto rep = idx.serve(golden_config(), 20);
   ASSERT_GT(rep.plan.n_parallel, 3u);
-  expect_pin(rep, {13642065685667525164ULL, 192, 552, 15312}, "3 rows");
+  expect_pin(rep, {13642065685667525164ULL, 192, 552, 15312},
+             14057169102456169948ULL, "3 rows");
 }
 
 TEST(EngineGolden, EqualTimeWakeAgainstCtaOrder) {
@@ -234,7 +301,47 @@ TEST(EngineGolden, EqualTimeWakeAgainstCtaOrder) {
   AlgasEngine engine(world.ds, world.cagra, cfg);
   const auto rep = engine.run(arrivals);
   expect_pin(rep, {14740029133816700353ULL, 1239, 536, 923885},
-             "equal-time wake");
+             13665982292011134317ULL, "equal-time wake");
+}
+
+TEST(EngineGolden, StaticBatchBaselines) {
+  // CAGRA-style multi-CTA batches with the GPU merge, and the GANNS preset
+  // (one CTA per query) under a private tracer, both over bursty arrivals so
+  // batches wait on their last arrival.
+  const auto& world = algas::testing::tiny_world();
+  baselines::StaticConfig cfg;
+  cfg.search.topk = 10;
+  cfg.search.candidate_len = 64;
+  cfg.batch_size = 8;
+  cfg.n_parallel = 4;
+  const auto arrivals = bursty_arrivals(40, 20000.0);
+  const auto cagra =
+      baselines::StaticBatchEngine(world.ds, world.cagra, cfg).run(arrivals);
+  EXPECT_EQ(cagra.summary.queries, 40u);
+  EXPECT_EQ(full_fnv1a(cagra), 7379971399207061863ULL) << "static";
+  EXPECT_EQ(cagra.pcie_transactions, 10u) << "static";
+
+  sim::Tracer tracer;
+  cfg.tracer = &tracer;
+  const auto ganns = baselines::StaticBatchEngine(
+                         world.ds, world.nsw, baselines::ganns_preset(cfg))
+                         .run(arrivals);
+  EXPECT_GT(ganns.trace_events, 0u);
+  EXPECT_EQ(full_fnv1a(ganns), 3574409390816867662ULL) << "ganns";
+  EXPECT_EQ(ganns.pcie_transactions, 10u) << "ganns";
+}
+
+TEST(EngineGolden, IvfBaseline) {
+  const auto& world = algas::testing::tiny_world();
+  baselines::IvfConfig cfg;
+  cfg.topk = 10;
+  cfg.nprobe = 4;
+  cfg.batch_size = 8;
+  baselines::IvfEngine engine(world.ds, cfg);
+  const auto rep = engine.run_closed_loop(40);
+  EXPECT_EQ(rep.summary.queries, 40u);
+  EXPECT_EQ(full_fnv1a(rep), 15042612729239569141ULL) << "ivf";
+  EXPECT_EQ(rep.pcie_transactions, 10u) << "ivf";
 }
 
 }  // namespace
