@@ -8,7 +8,6 @@
 #include "common/rng.hpp"
 #include "common/thread_pool.hpp"
 #include "distance/kernels.hpp"
-#include "metrics/recall.hpp"
 #include "simgpu/wave_schedule.hpp"
 
 namespace algas::baselines {
@@ -271,16 +270,12 @@ core::EngineReport IvfEngine::run_closed_loop(std::size_t num_queries) {
   }
 
   core::EngineReport rep;
-  rep.summary = collector.summarize();
-  rep.storage = ds_.storage();
-  const auto total = channel.total();
-  rep.pcie_transactions = total.transactions;
-  rep.pcie_bytes = total.bytes;
   rep.plan.ok = true;
   rep.plan.n_parallel = 1;
   rep.plan.reason = "IVF-Flat baseline";
-  rep.recall = metrics::mean_served_recall(ds_, collector, cfg_.topk);
-  rep.collector = std::move(collector);
+  // Untraced: the IVF baseline records no timeline.
+  core::finish_report(rep, std::move(collector), ds_, cfg_.topk, &channel,
+                      core::RunTrace{});
   return rep;
 }
 

@@ -4,7 +4,6 @@
 #include <stdexcept>
 
 #include "core/tuner.hpp"
-#include "metrics/recall.hpp"
 #include "search/multi_cta.hpp"
 #include "simgpu/channel.hpp"
 #include "simgpu/trace.hpp"
@@ -70,13 +69,12 @@ core::EngineReport StaticBatchEngine::run(
   // SimTrace wiring mirrors the ALGAS engine: explicit tracer, else the
   // ALGAS_TRACE default, else untraced. Lane names match ALGAS ("slot <b>")
   // so the dynamic and static timelines compare side by side in Perfetto.
-  sim::Tracer* tracer = cfg_.tracer ? cfg_.tracer : sim::default_tracer();
-  std::uint64_t trace_events_before = 0;
+  const core::RunTrace trace = core::RunTrace::resolve(cfg_.tracer);
+  sim::Tracer* const tracer = trace.tracer;
   int tpid = 0;
   int batch_tid = 0;
   std::vector<int> slot_tid(cfg_.batch_size, 0);
   if (tracer) {
-    trace_events_before = tracer->events_recorded();
     tpid = tracer->begin_process(cfg_.trace_label);
     const int link_tid = tracer->lane(tpid, "pcie link");
     batch_tid = tracer->lane(tpid, "batch");
@@ -199,24 +197,14 @@ core::EngineReport StaticBatchEngine::run(
   }
 
   core::EngineReport rep;
-  rep.summary = collector.summarize();
-  rep.storage = ds_.storage();
-  rep.trace_events =
-      tracer ? tracer->events_recorded() - trace_events_before : 0;
-  if (tracer && tracer == sim::default_tracer()) {
-    tracer->save(sim::trace_default_path());
-  }
-  const auto total = channel.total();
-  rep.pcie_transactions = total.transactions;
-  rep.pcie_bytes = total.bytes;
   rep.plan.ok = true;
   rep.plan.n_parallel = n_parallel_;
   rep.plan.total_ctas = n_parallel_ * cfg_.batch_size;
   rep.plan.threads_per_block = cfg_.device.warp_size;
   rep.plan.reason = "static baseline (capacity " + std::to_string(capacity_) +
                     " blocks)";
-  rep.recall = metrics::mean_served_recall(ds_, collector, cfg_.search.topk);
-  rep.collector = std::move(collector);
+  core::finish_report(rep, std::move(collector), ds_, cfg_.search.topk,
+                      &channel, trace);
   return rep;
 }
 

@@ -35,6 +35,83 @@ const char* host_sync_name(HostSync s) {
   return "invalid";
 }
 
+QueryWork& QueryWork::operator+=(const QueryWork& o) {
+  steps += o.steps;
+  rounds += o.rounds;
+  scored += o.scored;
+  gpu_cost += o.gpu_cost;
+  return *this;
+}
+
+metrics::QueryRecord make_query_record(const PendingQuery& q,
+                                       std::size_t slot, SimTime dispatch_ns,
+                                       SimTime gpu_done_ns, SimTime done_ns,
+                                       metrics::Disposition disposition,
+                                       const QueryWork& work,
+                                       std::vector<KV> results) {
+  metrics::QueryRecord rec;
+  rec.query_index = q.query_index;
+  rec.slot = slot;
+  rec.arrival_ns = q.arrival_ns;
+  rec.dispatch_ns = dispatch_ns;
+  rec.gpu_done_ns = gpu_done_ns;
+  rec.done_ns = done_ns;
+  // Deadline/priority travel on every record, served included: a served
+  // query can still land past a finite deadline (the eviction check runs
+  // before the fetch and merge are charged), and in_deadline() must see
+  // the real deadline to count it as a miss.
+  rec.deadline_ns = q.deadline_ns;
+  rec.priority = q.priority;
+  rec.disposition = disposition;
+  rec.steps = work.steps;
+  rec.rounds = work.rounds;
+  rec.scored_points = work.scored;
+  rec.gpu_cost = work.gpu_cost;
+  rec.results = std::move(results);
+  return rec;
+}
+
+RunTrace RunTrace::resolve(sim::Tracer* explicit_tracer) {
+  RunTrace t;
+  t.tracer = explicit_tracer != nullptr ? explicit_tracer
+                                        : sim::default_tracer();
+  if (t.tracer != nullptr) t.events_before = t.tracer->events_recorded();
+  return t;
+}
+
+void finish_report(EngineReport& rep, metrics::Collector collector,
+                   const Dataset& ds, std::size_t topk,
+                   const sim::Channel* channel, const RunTrace& trace) {
+  rep.summary = collector.summarize();
+  rep.storage = ds.storage();
+  const double span = rep.summary.span_ns;
+  if (span > 0.0 && rep.cta_count > 0) {
+    rep.gpu_utilization =
+        rep.cta_busy_ns / (span * static_cast<double>(rep.cta_count));
+  }
+  if (channel != nullptr) {
+    const auto total = channel->total();
+    rep.pcie_transactions = total.transactions;
+    rep.pcie_bytes = total.bytes;
+    rep.pcie_state_poll_transactions =
+        channel->counters(sim::Xfer::kStatePoll).transactions;
+    rep.pcie_state_write_transactions =
+        channel->counters(sim::Xfer::kStateWrite).transactions;
+    rep.pcie_state_transactions =
+        rep.pcie_state_poll_transactions + rep.pcie_state_write_transactions;
+  }
+  rep.recall = metrics::mean_served_recall(ds, collector, topk);
+  rep.collector = std::move(collector);
+  if (trace.tracer != nullptr) {
+    rep.trace_events = trace.tracer->events_recorded() - trace.events_before;
+    // The process-wide tracer accumulates across runs: rewrite its file
+    // after each.
+    if (trace.tracer == sim::default_tracer()) {
+      trace.tracer->save(sim::trace_default_path());
+    }
+  }
+}
+
 namespace {
 
 /// Trace span name of a query, "q<index>". Built by appending: at -O3,
@@ -53,15 +130,11 @@ std::string query_span_name(std::size_t query_index) {
 struct SlotRuntime {
   bool busy ALGAS_OWNED_BY(HostWorker) = false;  // a query is in flight
   bool quit ALGAS_OWNED_BY(HostWorker) = false;  // slot retired
-  std::size_t query_index ALGAS_OWNED_BY(HostWorker) = 0;
-  SimTime arrival_ns ALGAS_OWNED_BY(HostWorker) = 0.0;
-  SimTime dispatch_ns ALGAS_OWNED_BY(HostWorker) = 0.0;
-  /// Absolute deadline of the in-flight query (infinity = none). Consulted
-  /// by the host only — the persistent kernel never reads deadlines, so the
+  /// The in-flight query as dispatched. Its deadline is consulted by the
+  /// host only — the persistent kernel never reads deadlines, so the
   /// device-side search is deadline-oblivious exactly like real ALGAS CTAs.
-  SimTime deadline_ns ALGAS_OWNED_BY(HostWorker) =
-      std::numeric_limits<SimTime>::infinity();
-  std::uint8_t priority ALGAS_OWNED_BY(HostWorker) = 0;
+  PendingQuery query ALGAS_OWNED_BY(HostWorker);
+  SimTime dispatch_ns ALGAS_OWNED_BY(HostWorker) = 0.0;
   search::VisitedTable visited ALGAS_GUARDED_BY_EPOCH(CtaActor, HostWorker,
                                                       RunState);
   std::vector<NodeId> entries ALGAS_OWNED_BY(HostWorker);  // per-CTA entry pts
@@ -70,10 +143,7 @@ struct SlotRuntime {
   std::vector<KV> result_buffer ALGAS_GUARDED_BY_EPOCH(CtaActor, HostWorker,
                                                        RunState);
   // Per-query accumulation harvested into the QueryRecord at completion.
-  search::StepCost gpu_cost ALGAS_GUARDED_BY_EPOCH(CtaActor, HostWorker);
-  std::size_t steps ALGAS_GUARDED_BY_EPOCH(CtaActor, HostWorker) = 0;
-  std::size_t rounds ALGAS_GUARDED_BY_EPOCH(CtaActor, HostWorker) = 0;
-  std::size_t scored ALGAS_GUARDED_BY_EPOCH(CtaActor, HostWorker) = 0;
+  QueryWork work ALGAS_GUARDED_BY_EPOCH(CtaActor, HostWorker);
   // Completion bookkeeping (interrupt path + instrumentation).
   std::size_t finished_ctas ALGAS_GUARDED_BY_EPOCH(CtaActor, HostWorker) = 0;
   bool complete ALGAS_GUARDED_BY_EPOCH(CtaActor, HostWorker) = false;
@@ -83,26 +153,6 @@ struct SlotRuntime {
 
 struct RunState;
 class AdmissionActor;
-
-/// Builds the zero-results record for a query that never ran: the shed
-/// instant stamps dispatch/gpu_done/done so service_ns is zero rather than
-/// negative, and the disposition says which policy dropped it. The caller
-/// still counts the record toward `delivered` — every arrival produces
-/// exactly one record regardless of outcome.
-metrics::QueryRecord shed_record(const PendingQuery& q, SimTime when,
-                                 metrics::Disposition why) {
-  metrics::QueryRecord rec;
-  rec.query_index = q.query_index;
-  rec.slot = metrics::QueryRecord::kNoSlot;  // never occupied one
-  rec.arrival_ns = q.arrival_ns;
-  rec.dispatch_ns = when;
-  rec.gpu_done_ns = when;
-  rec.done_ns = when;
-  rec.deadline_ns = q.deadline_ns;
-  rec.priority = q.priority;
-  rec.disposition = why;
-  return rec;
-}
 
 /// One persistent-kernel CTA: polls its slot state, runs maintenance rounds
 /// when in Work, pushes results and flags Finish, exits on Quit.
@@ -147,8 +197,12 @@ class HostWorker final : public sim::Actor {
   void fetch_and_complete(sim::Simulation& sim, std::size_t slot,
                           double* elapsed);
   void evict_expired(sim::Simulation& sim, std::size_t slot, double* elapsed);
+  void complete(std::size_t slot, SimTime done_ns,
+                metrics::Disposition disposition, std::vector<KV> results);
   void deliver_shed(sim::Simulation& sim, const PendingQuery& q,
                     double* elapsed);
+  void retire_if_drained(sim::Simulation& sim, std::size_t slot,
+                         double* elapsed);
 
   RunState& run_;
   std::size_t index_;  ///< worker ordinal (trace lane)
@@ -257,9 +311,9 @@ class AdmissionActor final : public sim::Actor {
         // kRejectNew returns the newcomer; kDropOldest returns the evicted
         // queue entry. Either way the victim's record is stamped now — the
         // instant the admission decision was made.
-        metrics::QueryRecord rec =
-            shed_record(*victim, sim.now(), metrics::Disposition::kShedQueue);
-        run_.emit(std::move(rec));
+        run_.emit(make_query_record(*victim, metrics::QueryRecord::kNoSlot,
+                                    sim.now(), sim.now(), sim.now(),
+                                    metrics::Disposition::kShedQueue));
       }
     }
     if (cursor_ < arrivals_.size()) {
@@ -322,13 +376,13 @@ void CtaActor::step(sim::Simulation& sim) {
               visited_clear_words(run_.ds.num_base(), run_.plan.n_parallel);
           elapsed += cm.cta_start_ns +
                      static_cast<double>(words) * cm.bitmap_clear_per_word_ns;
-          search_.reset(run_.ds.query(rt.query_index), rt.entries[cta_],
+          search_.reset(run_.ds.query(rt.query.query_index), rt.entries[cta_],
                         &rt.visited);
         }
         search::StepCost cost;
         if (search_.step(cost)) {
           elapsed += cost.total_ns();
-          rt.gpu_cost += cost;
+          rt.work.gpu_cost += cost;
         }
         finished = search_.done();
         if (finished) {
@@ -339,9 +393,9 @@ void CtaActor::step(sim::Simulation& sim) {
                     rt.result_buffer.begin() + cta_ * run_.run_len);
           elapsed += static_cast<double>(cand.size()) *
                      cm.result_write_per_entry_ns;
-          rt.steps += search_.stats().expanded_points;
-          rt.rounds += search_.stats().rounds;
-          rt.scored += search_.stats().scored_points;
+          rt.work.steps += search_.stats().expanded_points;
+          rt.work.rounds += search_.stats().rounds;
+          rt.work.scored += search_.stats().scored_points;
         }
       }
       if (finished) {
@@ -369,12 +423,12 @@ void CtaActor::step(sim::Simulation& sim) {
       if (run_.trace.tracer) {
         sim::TraceArgs args;
         args.add("slot", static_cast<std::uint64_t>(slot_));
-        args.add("query", static_cast<std::uint64_t>(rt.query_index));
+        args.add("query", static_cast<std::uint64_t>(rt.query.query_index));
         run_.trace.tracer->complete(
             run_.trace.pid,
             run_.trace.cta_tid0 +
                 static_cast<int>(slot_ * run_.plan.n_parallel + cta_),
-            query_span_name(rt.query_index), sim.now(), elapsed,
+            query_span_name(rt.query.query_index), sim.now(), elapsed,
             std::move(args), "cta");
       }
       sim.schedule(this, sim.now() + elapsed);
@@ -414,14 +468,8 @@ bool HostWorker::dispatch(sim::Simulation& sim, std::size_t slot,
   if (!q) return false;
   SlotRuntime& rt = run_.slots[slot];
   rt.busy = true;
-  rt.query_index = q->query_index;
-  rt.arrival_ns = q->arrival_ns;
-  rt.deadline_ns = q->deadline_ns;
-  rt.priority = q->priority;
-  rt.gpu_cost = search::StepCost{};
-  rt.steps = 0;
-  rt.rounds = 0;
-  rt.scored = 0;
+  rt.query = *q;
+  rt.work = QueryWork{};
   rt.finished_ctas = 0;
   rt.complete = false;
   rt.visited.clear();  // functional clear; virtual cost charged by CTAs
@@ -436,9 +484,7 @@ bool HostWorker::dispatch(sim::Simulation& sim, std::size_t slot,
                                 run_.ds.dim() * run_.ds.elem_bytes(),
                                 sim::Xfer::kQuery);
   rt.dispatch_ns = sim.now() + *elapsed;
-  for (std::size_t c = 0; c < run_.plan.n_parallel; ++c) {
-    run_.sync.host_write(sim.now(), slot, c, SlotState::kWork, elapsed);
-  }
+  run_.sync.host_write_all(sim.now(), slot, SlotState::kWork, elapsed);
   ++run_.in_flight;
   if (run_.trace.tracer) {
     auto& tr = *run_.trace.tracer;
@@ -456,9 +502,7 @@ void HostWorker::fetch_and_complete(sim::Simulation& sim, std::size_t slot,
                                     double* elapsed) {
   const sim::CostModel& cm = run_.cfg.cost;
   SlotRuntime& rt = run_.slots[slot];
-  for (std::size_t c = 0; c < run_.plan.n_parallel; ++c) {
-    run_.sync.host_write(sim.now(), slot, c, SlotState::kDone, elapsed);
-  }
+  run_.sync.host_write_all(sim.now(), slot, SlotState::kDone, elapsed);
   // One sequential read of the slot's whole result block (§IV-B), issued
   // through this worker's private IO stream (§V-B).
   *elapsed += cm.host_io_submit_ns;
@@ -469,46 +513,52 @@ void HostWorker::fetch_and_complete(sim::Simulation& sim, std::size_t slot,
   *elapsed += cm.host_topk_merge_ns(run_.plan.n_parallel, run_.cfg.search.topk);
   // The accept predicate is consulted here, at the accept step: filtered
   // and tombstoned ids routed the traversal but never surface in the
-  // merged TopK.
-  auto topk = search::merge_sorted_runs(
-      rt.result_buffer, run_.plan.n_parallel, run_.run_len,
-      run_.cfg.search.topk, run_.cfg.search.accept);
+  // merged TopK. Under a sharded orchestrator the result ids are still
+  // shard-local; its sink (RunAttach::deliver) maps them to global ids.
+  complete(slot, sim.now() + *elapsed, metrics::Disposition::kServed,
+           search::merge_sorted_runs(rt.result_buffer, run_.plan.n_parallel,
+                                     run_.run_len, run_.cfg.search.topk,
+                                     run_.cfg.search.accept));
+}
 
-  metrics::QueryRecord rec;
-  rec.query_index = rt.query_index;
-  rec.slot = slot;
-  rec.arrival_ns = rt.arrival_ns;
-  rec.dispatch_ns = rt.dispatch_ns;
-  rec.gpu_done_ns = rt.gpu_done_ns;
-  rec.done_ns = sim.now() + *elapsed;
-  // Deadline/priority travel on every record, served included: the eviction
-  // check above ran BEFORE the fetch/transfer/merge costs were charged, so a
-  // served query can still land past a finite deadline — in_deadline() must
-  // see the real deadline to count it as a miss (the K>1 MergeActor path
-  // already stamps these; K=1 must agree on goodput/miss accounting).
-  rec.deadline_ns = rt.deadline_ns;
-  rec.priority = rt.priority;
-  rec.steps = rt.steps;
-  rec.rounds = rt.rounds;
-  rec.scored_points = rt.scored;
-  rec.gpu_cost = rt.gpu_cost;
-  rec.results = std::move(topk);
-  const SimTime done_ns = rec.done_ns;
-  // Under a sharded orchestrator the result ids are still shard-local here;
-  // its sink (RunAttach::deliver) maps them to global ids.
-  run_.emit(std::move(rec));
+/// The Expired path of the Fig 5 extension: the slot finished its search
+/// but the result is past deadline, so the host discards the block without
+/// paying the fetch/merge the Done path would. States go Finish -> Expired
+/// (then Work on refill or Quit on retire, both host-written); the device
+/// work that DID happen (steps/rounds/scored/gpu_cost) stays on the record
+/// so utilization accounting remains exact, but results stay empty — the
+/// block never crosses the channel.
+void HostWorker::evict_expired(sim::Simulation& sim, std::size_t slot,
+                               double* elapsed) {
+  run_.sync.host_write_all(sim.now(), slot, SlotState::kExpired, elapsed);
+  *elapsed += run_.cfg.cost.host_evict_ns;
+  complete(slot, sim.now() + *elapsed, metrics::Disposition::kEvicted, {});
+}
+
+/// The tail every dispatched query ends with, served or evicted: emits its
+/// record at `done_ns`, frees the slot, and closes the slot's trace span
+/// ("q<i>", or "q<i> (evicted)") and the query's flow.
+void HostWorker::complete(std::size_t slot, SimTime done_ns,
+                          metrics::Disposition disposition,
+                          std::vector<KV> results) {
+  SlotRuntime& rt = run_.slots[slot];
+  run_.emit(make_query_record(rt.query, slot, rt.dispatch_ns, rt.gpu_done_ns,
+                              done_ns, disposition, rt.work,
+                              std::move(results)));
   --run_.in_flight;
   rt.busy = false;
   if (run_.trace.tracer) {
     auto& tr = *run_.trace.tracer;
     const int slot_tid = run_.trace.slot_tid0 + static_cast<int>(slot);
+    const bool served = disposition == metrics::Disposition::kServed;
     sim::TraceArgs args;
-    args.add("query", static_cast<std::uint64_t>(rt.query_index));
-    args.add("steps", static_cast<std::uint64_t>(rt.steps));
-    args.add("rounds", static_cast<std::uint64_t>(rt.rounds));
-    // Slot occupancy: dispatch to delivery, one span per served query.
-    tr.complete(run_.trace.pid, slot_tid,
-                query_span_name(rt.query_index), rt.dispatch_ns,
+    args.add("query", static_cast<std::uint64_t>(rt.query.query_index));
+    args.add("steps", static_cast<std::uint64_t>(rt.work.steps));
+    if (served) args.add("rounds", static_cast<std::uint64_t>(rt.work.rounds));
+    std::string name = query_span_name(rt.query.query_index);
+    if (!served) name += " (evicted)";
+    // Slot occupancy: dispatch to delivery, one span per dispatched query.
+    tr.complete(run_.trace.pid, slot_tid, name, rt.dispatch_ns,
                 done_ns - rt.dispatch_ns, std::move(args), "slot");
     tr.flow_end(run_.trace.pid, slot_tid, "query", rt.flow_id, done_ns);
     tr.counter(run_.trace.pid, "in-flight queries", done_ns,
@@ -523,66 +573,21 @@ void HostWorker::fetch_and_complete(sim::Simulation& sim, std::size_t slot,
 void HostWorker::deliver_shed(sim::Simulation& sim, const PendingQuery& q,
                               double* elapsed) {
   *elapsed += run_.cfg.cost.host_shed_ns;
-  metrics::QueryRecord rec = shed_record(q, sim.now() + *elapsed,
-                                         metrics::Disposition::kShedDeadline);
-  run_.emit(std::move(rec));
+  const SimTime when = sim.now() + *elapsed;
+  run_.emit(make_query_record(q, metrics::QueryRecord::kNoSlot, when, when,
+                              when, metrics::Disposition::kShedDeadline));
   if (run_.trace.tracer) {
-    run_.trace.tracer->counter(run_.trace.pid, "delivered",
-                               sim.now() + *elapsed,
+    run_.trace.tracer->counter(run_.trace.pid, "delivered", when,
                                static_cast<double>(run_.delivered));
   }
 }
 
-/// The Expired path of the Fig 5 extension: the slot finished its search
-/// but the result is past deadline, so the host discards the block without
-/// paying the fetch/merge the Done path would. States go Finish -> Expired
-/// (then Work on refill or Quit on retire, both host-written); the device
-/// work that DID happen (steps/rounds/scored/gpu_cost) stays on the record
-/// so utilization accounting remains exact, but results stay empty — the
-/// block never crosses the channel.
-void HostWorker::evict_expired(sim::Simulation& sim, std::size_t slot,
-                               double* elapsed) {
-  const sim::CostModel& cm = run_.cfg.cost;
-  SlotRuntime& rt = run_.slots[slot];
-  for (std::size_t c = 0; c < run_.plan.n_parallel; ++c) {
-    run_.sync.host_write(sim.now(), slot, c, SlotState::kExpired, elapsed);
-  }
-  *elapsed += cm.host_evict_ns;
-
-  metrics::QueryRecord rec;
-  rec.query_index = rt.query_index;
-  rec.slot = slot;
-  rec.arrival_ns = rt.arrival_ns;
-  rec.dispatch_ns = rt.dispatch_ns;
-  rec.gpu_done_ns = rt.gpu_done_ns;
-  rec.done_ns = sim.now() + *elapsed;
-  rec.deadline_ns = rt.deadline_ns;
-  rec.priority = rt.priority;
-  rec.disposition = metrics::Disposition::kEvicted;
-  rec.steps = rt.steps;
-  rec.rounds = rt.rounds;
-  rec.scored_points = rt.scored;
-  rec.gpu_cost = rt.gpu_cost;
-  const SimTime done_ns = rec.done_ns;
-  run_.emit(std::move(rec));
-  --run_.in_flight;
-  rt.busy = false;
-  if (run_.trace.tracer) {
-    auto& tr = *run_.trace.tracer;
-    const int slot_tid = run_.trace.slot_tid0 + static_cast<int>(slot);
-    sim::TraceArgs args;
-    args.add("query", static_cast<std::uint64_t>(rt.query_index));
-    args.add("steps", static_cast<std::uint64_t>(rt.steps));
-    tr.complete(run_.trace.pid, slot_tid,
-                query_span_name(rt.query_index) + " (evicted)",
-                rt.dispatch_ns, done_ns - rt.dispatch_ns, std::move(args),
-                "slot");
-    tr.flow_end(run_.trace.pid, slot_tid, "query", rt.flow_id, done_ns);
-    tr.counter(run_.trace.pid, "in-flight queries", done_ns,
-               static_cast<double>(run_.in_flight));
-    tr.counter(run_.trace.pid, "delivered", done_ns,
-               static_cast<double>(run_.delivered));
-  }
+/// Retires an idle slot once the workload is exhausted: Quit ends its CTAs.
+void HostWorker::retire_if_drained(sim::Simulation& sim, std::size_t slot,
+                                   double* elapsed) {
+  if (!run_.workload_exhausted()) return;
+  run_.sync.host_write_all(sim.now(), slot, SlotState::kQuit, elapsed);
+  run_.slots[slot].quit = true;
 }
 
 void HostWorker::step(sim::Simulation& sim) {
@@ -620,19 +625,15 @@ void HostWorker::step(sim::Simulation& sim) {
       // deprioritize finished work (Finish -> Expired) rather than abort
       // running work. Strictly past-deadline only — finishing exactly at
       // the deadline still serves.
-      if (rt.deadline_ns < sim.now() + elapsed) {
+      if (rt.query.deadline_ns < sim.now() + elapsed) {
         evict_expired(sim, slot, &elapsed);
       } else {
         // Bring the states through the legal transitions even in blocking
         // mode (fetch_and_complete writes Finish -> Done).
         fetch_and_complete(sim, slot, &elapsed);
       }
-      if (!dispatch(sim, slot, &elapsed) && run_.workload_exhausted()) {
-        for (std::size_t c = 0; c < run_.plan.n_parallel; ++c) {
-          run_.sync.host_write(sim.now(), slot, c, SlotState::kQuit,
-                               &elapsed);
-        }
-        rt.quit = true;
+      if (!dispatch(sim, slot, &elapsed)) {
+        retire_if_drained(sim, slot, &elapsed);
       }
       progress = true;
       advanced = i + 1;
@@ -646,12 +647,7 @@ void HostWorker::step(sim::Simulation& sim) {
       advanced = i + 1;
       break;
     }
-    if (run_.workload_exhausted()) {
-      for (std::size_t c = 0; c < run_.plan.n_parallel; ++c) {
-        run_.sync.host_write(sim.now(), slot, c, SlotState::kQuit, &elapsed);
-      }
-      rt.quit = true;
-    }
+    retire_if_drained(sim, slot, &elapsed);
   }
   if (progress && n > 0) cursor_ = (cursor_ + advanced) % n;
 
@@ -758,8 +754,7 @@ struct EngineRun::Impl {
   std::unique_ptr<RunState> run;
   std::unique_ptr<sim::Actor> admission_owner;
   std::unique_ptr<ProtocolChecker> protocol;
-  sim::Tracer* tracer = nullptr;
-  std::uint64_t trace_events_before = 0;
+  RunTrace trace;
 
   Impl(const AlgasEngine& e, const std::vector<PendingQuery>& arrivals,
        RunAttach attach)
@@ -797,9 +792,8 @@ struct EngineRun::Impl {
 
     // SimTrace wiring mirrors SimCheck: explicit tracer wins, otherwise the
     // process-wide ALGAS_TRACE tracer, otherwise null (zero-cost untraced).
-    tracer = cfg.tracer ? cfg.tracer : sim::default_tracer();
-    if (tracer) {
-      trace_events_before = tracer->events_recorded();
+    trace = RunTrace::resolve(cfg.tracer);
+    if (sim::Tracer* tracer = trace.tracer) {
       TraceLanes& tl = run->trace;
       tl.tracer = tracer;
       tl.pid = tracer->begin_process(run_label);
@@ -883,9 +877,6 @@ struct EngineRun::Impl {
   }
 
   EngineReport finish() {
-    const AlgasConfig& cfg = engine.cfg_;
-    const Dataset& ds = engine.ds_;
-
     if (protocol) protocol->finalize(run->sim.now());
 
     if (run->delivered != run->total_queries) {
@@ -895,8 +886,6 @@ struct EngineRun::Impl {
     }
 
     EngineReport rep;
-    rep.summary = run->collector.summarize();
-    rep.storage = ds.storage();
     rep.plan = engine.plan_;
     rep.sim_events = run->sim.events_processed();
     rep.sim_stale_events = run->sim.stale_events();
@@ -907,46 +896,20 @@ struct EngineRun::Impl {
                         " stale=" + std::to_string(run->sim.stale_events()));
     }
     rep.simcheck_checks = check ? check->checks_performed() : 0;
-    if (tracer) {
-      tracer->counter(run->trace.pid, "stale sim events", run->sim.now(),
-                      static_cast<double>(run->sim.stale_events()));
-    }
-    rep.trace_events =
-        tracer ? tracer->events_recorded() - trace_events_before : 0;
-    // The process-wide tracer accumulates across runs: rewrite the file
-    // after each so multi-engine benches end with every run in one Perfetto
-    // file.
-    if (tracer && tracer == sim::default_tracer()) {
-      tracer->save(sim::trace_default_path());
+    if (trace.tracer) {
+      trace.tracer->counter(run->trace.pid, "stale sim events",
+                            run->sim.now(),
+                            static_cast<double>(run->sim.stale_events()));
     }
     rep.host_polls = run->sync.host_polls();
     rep.device_polls = run->sync.device_polls();
     rep.interrupts = run->interrupts;
     rep.host_worker_steps = run->worker_steps;
     rep.host_busy_ns = run->worker_busy_ns;
-    const auto total = run->channel.total();
-    rep.pcie_transactions = total.transactions;
-    rep.pcie_bytes = total.bytes;
-    rep.pcie_state_poll_transactions =
-        run->channel.counters(sim::Xfer::kStatePoll).transactions;
-    rep.pcie_state_write_transactions =
-        run->channel.counters(sim::Xfer::kStateWrite).transactions;
-    rep.pcie_state_transactions =
-        rep.pcie_state_poll_transactions + rep.pcie_state_write_transactions;
-
-    double busy = 0.0;
-    for (const auto& cta : run->ctas) busy += cta->busy_ns();
-    rep.cta_busy_ns = busy;
+    for (const auto& cta : run->ctas) rep.cta_busy_ns += cta->busy_ns();
     rep.cta_count = run->ctas.size();
-    const double span = rep.summary.span_ns;
-    if (span > 0.0 && !run->ctas.empty()) {
-      rep.gpu_utilization =
-          busy / (span * static_cast<double>(run->ctas.size()));
-    }
-
-    rep.recall =
-        metrics::mean_served_recall(ds, run->collector, cfg.search.topk);
-    rep.collector = std::move(run->collector);
+    finish_report(rep, std::move(run->collector), engine.ds_,
+                  engine.cfg_.search.topk, &run->channel, trace);
     return rep;
   }
 };

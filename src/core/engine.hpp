@@ -119,6 +119,49 @@ struct EngineReport {
   std::uint64_t trace_events = 0;
 };
 
+/// Device work one query consumed, summed over its CTAs (and, for a
+/// sharded query, over its shards).
+struct QueryWork {
+  std::size_t steps = 0;   ///< expanded points
+  std::size_t rounds = 0;  ///< maintenance rounds (sorts)
+  std::size_t scored = 0;  ///< distance evaluations
+  search::StepCost gpu_cost;
+  QueryWork& operator+=(const QueryWork& o);
+};
+
+/// The one builder of a query's terminal record, for every disposition. A
+/// query shed before dispatch passes kNoSlot and its shed instant as
+/// dispatch, gpu_done and done (zero service time, no work, no results); a
+/// dispatched query passes its slot (or shard fanout), its device work and,
+/// when served, its merged TopK. Deadline and priority come from `q`.
+metrics::QueryRecord make_query_record(const PendingQuery& q,
+                                       std::size_t slot, SimTime dispatch_ns,
+                                       SimTime gpu_done_ns, SimTime done_ns,
+                                       metrics::Disposition disposition,
+                                       const QueryWork& work = {},
+                                       std::vector<KV> results = {});
+
+/// An engine run's trace sink. Default-constructed it is untraced;
+/// resolve() takes the explicit tracer, else the process-wide ALGAS_TRACE
+/// tracer, else none, and notes the event count the run starts from.
+struct RunTrace {
+  static RunTrace resolve(sim::Tracer* explicit_tracer);
+  sim::Tracer* tracer = nullptr;
+  std::uint64_t events_before = 0;
+};
+
+/// The report tail every engine ends with: summary, storage codec, recall
+/// over the served records (against `ds`'s ground truth at `topk`) and the
+/// collector itself; gpu_utilization from rep.cta_busy_ns / (span x
+/// rep.cta_count) when the caller set them; the PCIe totals of `channel`
+/// (null when the caller summed several channels itself); and the trace
+/// accounting: events recorded since `trace` resolved, then the
+/// process-wide ALGAS_TRACE file rewritten, so a multi-engine bench ends
+/// with every run in one Perfetto file.
+void finish_report(EngineReport& rep, metrics::Collector collector,
+                   const Dataset& ds, std::size_t topk,
+                   const sim::Channel* channel, const RunTrace& trace);
+
 class AlgasEngine;
 
 /// Wiring hooks one engine run exposes to an orchestrator (the sharded

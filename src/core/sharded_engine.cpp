@@ -18,6 +18,9 @@ namespace algas::core {
 
 namespace {
 
+/// Seed of the per-shard k-means routers (selective fanout).
+constexpr std::uint64_t kRouterSeed = 11;
+
 /// Scatter-side state of one in-flight query: which shards owe a run, the
 /// runs received so far (indexed by the shard's position in the route, so
 /// the concatenation order is shard-ascending regardless of completion
@@ -25,21 +28,16 @@ namespace {
 struct GatherState {
   std::vector<std::size_t> route;  ///< shards probed, ascending
   std::size_t received = 0;
-  SimTime arrival_ns = 0.0;
+  PendingQuery query;  ///< the arrival, as scattered to every routed shard
   SimTime dispatch_ns = std::numeric_limits<SimTime>::infinity();  // min
   SimTime gpu_done_ns = 0.0;                                       // max
   SimTime done_ns = 0.0;  ///< latest shard completion: when the merge may run
-  SimTime deadline_ns = std::numeric_limits<SimTime>::infinity();
-  std::uint8_t priority = 0;
   /// Best outcome among the probed shards (min Disposition ordinal): one
   /// shard serving is enough for the merged query to serve — shards that
   /// shed or evicted just contribute an empty run. Starts at the worst
   /// ordinal and min-accumulates as shard records land.
   metrics::Disposition disposition = metrics::Disposition::kEvicted;
-  std::size_t steps = 0;
-  std::size_t rounds = 0;
-  std::size_t scored = 0;
-  search::StepCost gpu_cost;
+  QueryWork work;
   std::vector<std::vector<KV>> runs;  ///< one slot per routed shard
 };
 
@@ -90,29 +88,19 @@ class MergeActor final : public sim::Actor {
     }
     const double elapsed = cm_.host_topk_merge_ns(n_runs, topk_);
 
-    metrics::QueryRecord rec;
-    rec.query_index = top.query;
-    rec.slot = n_runs;  // repurposed: shard runs merged (== fanout)
-    rec.arrival_ns = g.arrival_ns;
-    rec.dispatch_ns = g.dispatch_ns;
-    rec.gpu_done_ns = g.gpu_done_ns;
-    rec.done_ns = sim.now() + elapsed;
-    rec.deadline_ns = g.deadline_ns;
-    rec.priority = g.priority;
-    rec.disposition = g.disposition;
-    rec.steps = g.steps;
-    rec.rounds = g.rounds;
-    rec.scored_points = g.scored;
-    rec.gpu_cost = g.gpu_cost;
-    if (rec.served()) {
+    std::vector<KV> results;
+    if (g.disposition == metrics::Disposition::kServed) {
       // Shards that shed/evicted left their run slot empty (KV::empty
       // padding); the merge tolerates that, so one serving shard suffices.
       // Runs carry global ids and were already filtered per shard — the
       // merge itself needs no further predicate.
-      rec.results = search::merge_sorted_runs(concat, n_runs, topk_, topk_,
-                                              search::AcceptPredicate{});
+      results = search::merge_sorted_runs(concat, n_runs, topk_, topk_,
+                                          search::AcceptPredicate{});
     }
-    out_.add(std::move(rec));
+    // `slot` is repurposed: shard runs merged (== fanout).
+    out_.add(make_query_record(g.query, n_runs, g.dispatch_ns, g.gpu_done_ns,
+                               sim.now() + elapsed, g.disposition, g.work,
+                               std::move(results)));
 
     if (trace_ != nullptr) {
       sim::TraceArgs args;
@@ -221,7 +209,7 @@ ShardedEngine::ShardedEngine(const Dataset& ds, ShardedConfig cfg)
   if (selective_) {
     baselines::IvfBuildConfig rcfg;
     rcfg.nlist = cfg_.router_centroids;
-    rcfg.seed = cfg_.router_seed;
+    rcfg.seed = kRouterSeed;
     routers_.reserve(k);
     for (std::size_t s = 0; s < k; ++s) {
       routers_.push_back(baselines::IvfIndex::build(shard_ds_[s], rcfg));
@@ -309,18 +297,14 @@ ShardedReport ShardedEngine::run(const std::vector<PendingQuery>& arrivals) {
           std::to_string(a.query_index) + " in arrivals");
     }
     g.route = route(a.query_index);
-    g.arrival_ns = a.arrival_ns;
-    g.deadline_ns = a.deadline_ns;
-    g.priority = a.priority;
+    g.query = a;
     g.runs.resize(g.route.size());
     routed_total += g.route.size();
     for (const std::size_t s : g.route) shard_arrivals[s].push_back(a);
   }
 
-  sim::Tracer* tracer = cfg_.base.tracer != nullptr ? cfg_.base.tracer
-                                                    : sim::default_tracer();
-  const std::uint64_t trace_before =
-      tracer != nullptr ? tracer->events_recorded() : 0;
+  const RunTrace trace = RunTrace::resolve(cfg_.base.tracer);
+  sim::Tracer* const tracer = trace.tracer;
   int trace_pid = 0, bus_tid = 0, merge_tid = 0;
   if (tracer != nullptr) {
     trace_pid = tracer->begin_process(
@@ -359,10 +343,8 @@ ShardedReport ShardedEngine::run(const std::vector<PendingQuery>& arrivals) {
       g.dispatch_ns = std::min(g.dispatch_ns, rec.dispatch_ns);
       g.gpu_done_ns = std::max(g.gpu_done_ns, rec.gpu_done_ns);
       if (rec.disposition < g.disposition) g.disposition = rec.disposition;
-      g.steps += rec.steps;
-      g.rounds += rec.rounds;
-      g.scored += rec.scored_points;
-      g.gpu_cost += rec.gpu_cost;
+      g.work += QueryWork{rec.steps, rec.rounds, rec.scored_points,
+                          rec.gpu_cost};
       const auto it = std::find(g.route.begin(), g.route.end(), s);
       const auto ordinal =
           static_cast<std::size_t>(std::distance(g.route.begin(), it));
@@ -419,23 +401,10 @@ ShardedReport ShardedEngine::run(const std::vector<PendingQuery>& arrivals) {
   m.sim_stale_events += host_sim.stale_events();
   m.host_busy_ns += merger.busy_ns();
 
-  m.summary = merged_collector.summarize();
-  m.storage = ds_.storage();
   m.plan = engines_[0]->plan();
-  if (m.summary.span_ns > 0.0 && m.cta_count > 0) {
-    m.gpu_utilization =
-        m.cta_busy_ns /
-        (m.summary.span_ns * static_cast<double>(m.cta_count));
-  }
-  m.recall = metrics::mean_served_recall(ds_, merged_collector,
-                                        cfg_.base.search.topk);
-  m.collector = std::move(merged_collector);
-  m.trace_events =
-      tracer != nullptr ? tracer->events_recorded() - trace_before : 0;
-  if (tracer != nullptr && cfg_.base.tracer == nullptr &&
-      !sim::trace_default_path().empty()) {
-    tracer->save(sim::trace_default_path());
-  }
+  // PCIe totals are the shards' sums above, so no channel is passed.
+  finish_report(m, std::move(merged_collector), ds_, cfg_.base.search.topk,
+                nullptr, trace);
 
   rep.bus_transactions = bus.transactions();
   rep.bus_bytes = bus.bytes();

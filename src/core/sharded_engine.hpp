@@ -61,7 +61,6 @@ struct ShardedConfig {
   /// Coarse-quantizer size per shard for the fanout router (only built
   /// when 1 <= fanout < shards).
   std::size_t router_centroids = 8;
-  std::uint64_t router_seed = 11;
   /// Divide `base.search.candidate_len` by the shard count (floored at
   /// topk; the engine re-clamps to a power of two >= the graph degree).
   /// This is where the scale-out throughput comes from: each shard holds

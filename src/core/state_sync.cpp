@@ -124,6 +124,13 @@ void StateSync::trace_transition(Side side, SimTime t, std::size_t slot,
                   t, std::move(args), "state");
 }
 
+void StateSync::host_write_all(SimTime now, std::size_t slot,
+                               SlotState next, double* elapsed) {
+  for (std::size_t c = 0; c < ctas_; ++c) {
+    host_write(now, slot, c, next, elapsed);
+  }
+}
+
 bool StateSync::host_all_in_state(SimTime now, std::size_t slot, SlotState s,
                                   double* elapsed) {
   for (std::size_t c = 0; c < ctas_; ++c) {

@@ -76,6 +76,10 @@ class StateSync {
   void host_write(SimTime now, std::size_t slot, std::size_t cta,
                   SlotState next, double* elapsed);
 
+  /// Host transitions every CTA state of `slot`, in CTA order.
+  void host_write_all(SimTime now, std::size_t slot, SlotState next,
+                      double* elapsed);
+
   /// Device-side poll — local in both modes (the kernel polls its own
   /// memory). `now` is the polling CTA's current cursor (used only for
   /// checker timestamps; device polls never touch the channel).

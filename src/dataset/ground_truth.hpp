@@ -10,16 +10,13 @@
 
 namespace algas {
 
-/// Exact top-k base ids for one query, ascending by distance.
-std::vector<NodeId> brute_force_topk(const Dataset& ds,
-                                     std::span<const float> query,
-                                     std::size_t k);
-
-/// Exact top-k restricted to rows the predicate accepts. Fewer than k
-/// accepted rows yields a shorter list (never padded here).
-std::vector<NodeId> brute_force_topk_filtered(
+/// Exact top-k base ids for one query, ascending by distance, restricted
+/// to rows `accept` accepts (the default null predicate accepts every
+/// row). Fewer than k accepted rows yields a shorter list (never padded
+/// here).
+std::vector<NodeId> brute_force_topk(
     const Dataset& ds, std::span<const float> query, std::size_t k,
-    const search::AcceptPredicate& accept);
+    const search::AcceptPredicate& accept = {});
 
 /// Compute and attach exact ground truth for all queries of `ds`.
 /// `threads` follows the build-thread convention: 0 = ALGAS_BUILD_THREADS

@@ -52,11 +52,15 @@
 // Flag precedence follows the repo-wide rule (common/env.hpp): an explicit
 // CLI flag wins, then the ALGAS_* environment variable, then the compiled
 // default. Every command prints a short human-readable report to stdout.
+#include <cerrno>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <map>
 #include <memory>
+#include <set>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -67,14 +71,38 @@ using namespace algas;
 
 namespace {
 
+/// Unsigned decimal `text` no larger than `max`, or invalid_argument
+/// naming `flag`. No sign, no whitespace, no trailing characters:
+/// strtoull alone would read "-1" as 2^64-1 and "abc" as 0.
+std::uint64_t parse_unsigned(const std::string& flag, const std::string& text,
+                             std::uint64_t max) {
+  const auto bad = [&](const char* what) {
+    return std::invalid_argument(flag + ": " + what + ": '" + text + "'");
+  };
+  if (text.empty() || text[0] < '0' || text[0] > '9') {
+    throw bad("not an unsigned integer");
+  }
+  errno = 0;
+  char* end = nullptr;
+  const unsigned long long v = std::strtoull(text.c_str(), &end, 10);
+  if (*end != '\0') throw bad("not an unsigned integer");
+  if (errno == ERANGE || v > max) throw bad("out of range");
+  return v;
+}
+
 /// Tiny --key value parser; flags are required unless a default is given.
+/// Only the flags the command reads are accepted.
 class Args {
  public:
-  Args(int argc, char** argv) {
+  Args(int argc, char** argv, const std::set<std::string>& known) {
     for (int i = 2; i + 1 < argc; i += 2) {
       if (std::strncmp(argv[i], "--", 2) != 0) {
         throw std::invalid_argument(std::string("expected flag, got ") +
                                     argv[i]);
+      }
+      if (known.count(argv[i] + 2) == 0) {
+        throw std::invalid_argument(std::string("unknown flag ") + argv[i] +
+                                    " for " + argv[1]);
       }
       values_[argv[i] + 2] = argv[i + 1];
     }
@@ -100,14 +128,23 @@ class Args {
     auto it = values_.find(key);
     return it == values_.end()
                ? dflt
-               : static_cast<std::size_t>(std::strtoull(
-                     it->second.c_str(), nullptr, 10));
+               : parse_unsigned("--" + key, it->second,
+                                std::numeric_limits<std::size_t>::max());
   }
 
+  /// A finite decimal; anything else is invalid_argument naming the flag.
   double get_double(const std::string& key, double dflt) const {
     auto it = values_.find(key);
-    return it == values_.end() ? dflt
-                               : std::strtod(it->second.c_str(), nullptr);
+    if (it == values_.end()) return dflt;
+    const std::string& text = it->second;
+    errno = 0;
+    char* end = nullptr;
+    const double v = std::strtod(text.c_str(), &end);
+    if (text.empty() || *end != '\0' || errno == ERANGE || !std::isfinite(v)) {
+      throw std::invalid_argument("--" + key + ": not a finite number: '" +
+                                  text + "'");
+    }
+    return v;
   }
 
  private:
@@ -169,17 +206,18 @@ std::unique_ptr<search::NodeBitset> parse_filter(const Dataset& ds,
         "--filter needs a dataset with attributes; regenerate it with "
         "`algas_cli gen` (synthetic datasets attach them automatically)");
   }
+  constexpr std::uint32_t kMax = std::numeric_limits<std::uint32_t>::max();
   auto bits = std::make_unique<search::NodeBitset>(ds.num_base());
   if (spec.rfind("cat=", 0) == 0) {
     const auto want = static_cast<std::uint32_t>(
-        std::strtoul(spec.c_str() + 4, nullptr, 10));
+        parse_unsigned("--filter cat", spec.substr(4), kMax));
     const auto& cats = ds.categories();
     for (std::size_t i = 0; i < cats.size(); ++i) {
       if (cats[i] == want) bits->set(static_cast<NodeId>(i));
     }
   } else if (spec.rfind("ts<", 0) == 0) {
     const auto limit = static_cast<std::uint32_t>(
-        std::strtoul(spec.c_str() + 3, nullptr, 10));
+        parse_unsigned("--filter ts", spec.substr(3), kMax));
     const auto& ts = ds.timestamps();
     for (std::size_t i = 0; i < ts.size(); ++i) {
       if (ts[i] < limit) bits->set(static_cast<NodeId>(i));
@@ -377,15 +415,18 @@ int cmd_delete(const Args& args) {
   const std::string ds_path = args.get("dataset");
   core::MutableIndex idx = open_index(load_dataset(ds_path), args);
 
-  std::size_t removed = 0, already = 0;
+  // Parse every id before tombstoning any.
+  std::vector<NodeId> victims;
   const std::string ids = args.get("ids");
   for (std::size_t pos = 0; pos < ids.size();) {
     const std::size_t comma = std::min(ids.find(',', pos), ids.size());
-    const NodeId v = static_cast<NodeId>(
-        std::strtoull(ids.substr(pos, comma - pos).c_str(), nullptr, 10));
-    (idx.remove(v) ? removed : already)++;
+    victims.push_back(static_cast<NodeId>(
+        parse_unsigned("--ids", ids.substr(pos, comma - pos),
+                       std::numeric_limits<NodeId>::max())));
     pos = comma + 1;
   }
+  std::size_t removed = 0, already = 0;
+  for (const NodeId v : victims) (idx.remove(v) ? removed : already)++;
   std::printf("tombstoned %zu ids (%zu were already dead) | %zu live of "
               "%zu published\n",
               removed, already, idx.live(), idx.published());
@@ -631,6 +672,52 @@ void usage() {
       "see the header comment of tools/algas_cli.cpp for full flag lists\n");
 }
 
+using Flags = std::set<std::string>;
+
+Flags operator+(Flags a, const Flags& b) {
+  a.insert(b.begin(), b.end());
+  return a;
+}
+
+/// Flags read by parse_build_config and by parse_engine_config.
+const Flags kBuildFlags = {"degree", "ef", "threads", "batch"};
+const Flags kEngineFlags = {"topk",      "list",  "beam", "slots",
+                            "nparallel", "hosts", "sync"};
+
+struct Command {
+  int (*run)(const Args&);
+  Flags flags;  ///< every flag the command reads
+};
+
+const std::map<std::string, Command> kCommands = {
+    {"gen", {cmd_gen, {"name", "n", "q", "out"}}},
+    {"gt", {cmd_gt, {"dataset", "k", "threads", "out"}}},
+    {"import",
+     {cmd_import, {"name", "base", "query", "gt", "metric", "out"}}},
+    {"build",
+     {cmd_build, Flags{"dataset", "storage", "kind", "out"} + kBuildFlags}},
+    {"stats", {cmd_stats, {"dataset", "graph"}}},
+    {"search",
+     {cmd_search, Flags{"dataset", "storage", "engine", "queries", "trace",
+                        "filter", "nprobe", "index", "graph", "shards",
+                        "fanout", "router-centroids"} +
+                      kEngineFlags + kBuildFlags}},
+    {"insert",
+     {cmd_insert, Flags{"dataset", "rows", "index", "graph", "out-index",
+                        "out-dataset"} +
+                      kBuildFlags}},
+    {"delete",
+     {cmd_delete, Flags{"dataset", "index", "graph", "ids", "compact",
+                        "out-index", "out-dataset"} +
+                      kBuildFlags}},
+    {"serve",
+     {cmd_serve, Flags{"dataset", "storage", "arrival", "rate", "burst-rate",
+                       "deadline-us", "capacity", "policy", "high-priority",
+                       "queries", "seed", "shards", "fanout",
+                       "router-centroids", "filter"} +
+                     kEngineFlags + kBuildFlags}},
+};
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -638,20 +725,13 @@ int main(int argc, char** argv) {
     usage();
     return 2;
   }
-  const std::string cmd = argv[1];
-  try {
-    Args args(argc, argv);
-    if (cmd == "gen") return cmd_gen(args);
-    if (cmd == "gt") return cmd_gt(args);
-    if (cmd == "import") return cmd_import(args);
-    if (cmd == "build") return cmd_build(args);
-    if (cmd == "stats") return cmd_stats(args);
-    if (cmd == "search") return cmd_search(args);
-    if (cmd == "insert") return cmd_insert(args);
-    if (cmd == "delete") return cmd_delete(args);
-    if (cmd == "serve") return cmd_serve(args);
+  const auto it = kCommands.find(argv[1]);
+  if (it == kCommands.end()) {
     usage();
     return 2;
+  }
+  try {
+    return it->second.run(Args(argc, argv, it->second.flags));
   } catch (const std::exception& e) {
     std::fprintf(stderr, "error: %s\n", e.what());
     return 1;
