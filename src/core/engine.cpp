@@ -197,8 +197,9 @@ class HostWorker final : public sim::Actor {
   void fetch_and_complete(sim::Simulation& sim, std::size_t slot,
                           double* elapsed);
   void evict_expired(sim::Simulation& sim, std::size_t slot, double* elapsed);
-  void complete(std::size_t slot, SimTime done_ns,
-                metrics::Disposition disposition, std::vector<KV> results);
+  void finish_query(std::size_t slot, SimTime done_ns,
+                    metrics::Disposition disposition,
+                    std::vector<KV> results);
   void deliver_shed(sim::Simulation& sim, const PendingQuery& q,
                     double* elapsed);
   void retire_if_drained(sim::Simulation& sim, std::size_t slot,
@@ -515,10 +516,10 @@ void HostWorker::fetch_and_complete(sim::Simulation& sim, std::size_t slot,
   // and tombstoned ids routed the traversal but never surface in the
   // merged TopK. Under a sharded orchestrator the result ids are still
   // shard-local; its sink (RunAttach::deliver) maps them to global ids.
-  complete(slot, sim.now() + *elapsed, metrics::Disposition::kServed,
-           search::merge_sorted_runs(rt.result_buffer, run_.plan.n_parallel,
-                                     run_.run_len, run_.cfg.search.topk,
-                                     run_.cfg.search.accept));
+  finish_query(slot, sim.now() + *elapsed, metrics::Disposition::kServed,
+               search::merge_sorted_runs(
+                   rt.result_buffer, run_.plan.n_parallel, run_.run_len,
+                   run_.cfg.search.topk, run_.cfg.search.accept));
 }
 
 /// The Expired path of the Fig 5 extension: the slot finished its search
@@ -532,15 +533,16 @@ void HostWorker::evict_expired(sim::Simulation& sim, std::size_t slot,
                                double* elapsed) {
   run_.sync.host_write_all(sim.now(), slot, SlotState::kExpired, elapsed);
   *elapsed += run_.cfg.cost.host_evict_ns;
-  complete(slot, sim.now() + *elapsed, metrics::Disposition::kEvicted, {});
+  finish_query(slot, sim.now() + *elapsed, metrics::Disposition::kEvicted,
+               {});
 }
 
 /// The tail every dispatched query ends with, served or evicted: emits its
 /// record at `done_ns`, frees the slot, and closes the slot's trace span
 /// ("q<i>", or "q<i> (evicted)") and the query's flow.
-void HostWorker::complete(std::size_t slot, SimTime done_ns,
-                          metrics::Disposition disposition,
-                          std::vector<KV> results) {
+void HostWorker::finish_query(std::size_t slot, SimTime done_ns,
+                              metrics::Disposition disposition,
+                              std::vector<KV> results) {
   SlotRuntime& rt = run_.slots[slot];
   run_.emit(make_query_record(rt.query, slot, rt.dispatch_ns, rt.gpu_done_ns,
                               done_ns, disposition, rt.work,

@@ -52,6 +52,8 @@
 // Flag precedence follows the repo-wide rule (common/env.hpp): an explicit
 // CLI flag wins, then the ALGAS_* environment variable, then the compiled
 // default. Every command prints a short human-readable report to stdout.
+// A flag the command does not read, or a number that does not parse or fit,
+// is an error (exit 1) raised before any file is written.
 #include <cerrno>
 #include <cmath>
 #include <cstdio>
